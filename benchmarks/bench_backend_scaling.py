@@ -1,9 +1,9 @@
-"""Backend scaling: serial vs process-pool wall-clock on a fixed sweep.
+"""Backend scaling: serial vs batch-runner wall-clock on a fixed sweep.
 
 Runs the same Figure-5-shaped :class:`ExperimentSpec` through
-``SerialBackend`` and ``ProcessPoolBackend`` so the pytest-benchmark
-summary table shows the fan-out speedup directly (on a multi-core box the
-pool should approach ``min(jobs, cells)``x; on a single core the pool pays
+``SerialBackend`` and ``BatchRunner`` so the pytest-benchmark summary
+table shows the fan-out speedup directly (on a multi-core box the runner
+should approach ``min(jobs, workloads)``x; on a single core it pays
 process overhead and loses).  Also asserts the backends' contract: results
 are bit-identical regardless of scheduling.
 """
@@ -11,7 +11,7 @@ are bit-identical regardless of scheduling.
 import os
 
 from repro.experiments import (
-    ProcessPoolBackend,
+    BatchRunner,
     SerialBackend,
     matrix_spec,
     run_experiment,
@@ -35,9 +35,9 @@ def test_serial_backend(benchmark):
     assert result.benchmarks == BENCH_SUBSET
 
 
-def test_process_pool_backend(benchmark):
+def test_batch_runner_backend(benchmark):
     result = benchmark.pedantic(
-        lambda: run_experiment(_spec(), backend=ProcessPoolBackend(jobs=POOL_JOBS)),
+        lambda: run_experiment(_spec(), backend=BatchRunner(jobs=POOL_JOBS)),
         rounds=1,
         iterations=1,
     )
@@ -52,5 +52,5 @@ def test_backends_agree_bitwise():
         BENCH_INSTS // 4,
     )
     serial = run_experiment(spec, backend=SerialBackend())
-    pooled = run_experiment(spec, backend=ProcessPoolBackend(jobs=POOL_JOBS))
+    pooled = run_experiment(spec, backend=BatchRunner(jobs=POOL_JOBS))
     assert pooled.to_dict() == serial.to_dict()

@@ -33,10 +33,7 @@ from __future__ import annotations
 import abc
 from typing import Sequence
 
-try:  # vectorized probe-index precompute; scalar fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
+import numpy as np
 
 
 class SSBFBase(abc.ABC):
@@ -127,27 +124,12 @@ class SimpleSSBF(SSBFBase):
         every probe and update (the table contents stay scalar -- only
         the index computation is lifted out of the per-cycle loop).
         """
-        if _np is not None:
-            addr = _np.asarray(addrs, dtype=_np.int64)
-            size = _np.asarray(sizes, dtype=_np.int64)
-            first = (addr >> self._shift) & self._mask
-            second = ((addr + 4) >> self._shift) & self._mask
-            second[(size <= self.granularity) | (second == first)] = -1
-            return first.tolist(), second.tolist()
-        shift = self._shift
-        mask = self._mask
-        granularity = self.granularity
-        first_list: list[int] = []
-        second_list: list[int] = []
-        for addr, size in zip(addrs, sizes):
-            index = (addr >> shift) & mask
-            first_list.append(index)
-            if size > granularity:
-                second = ((addr + 4) >> shift) & mask
-                second_list.append(second if second != index else -1)
-            else:
-                second_list.append(-1)
-        return first_list, second_list
+        addr = np.asarray(addrs, dtype=np.int64)
+        size = np.asarray(sizes, dtype=np.int64)
+        first = (addr >> self._shift) & self._mask
+        second = ((addr + 4) >> self._shift) & self._mask
+        second[(size <= self.granularity) | (second == first)] = -1
+        return first.tolist(), second.tolist()
 
 
 class DualBloomSSBF(SSBFBase):

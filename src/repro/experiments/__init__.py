@@ -3,7 +3,7 @@
 Quickstart::
 
     from repro.experiments import (
-        ExperimentBuilder, ProcessPoolBackend, ResultStore, run_experiment,
+        BatchRunner, ExperimentBuilder, ResultStore, run_experiment,
     )
     from repro.harness.configs import fig5_configs
 
@@ -16,7 +16,7 @@ Quickstart::
     )
     result = run_experiment(
         spec,
-        backend=ProcessPoolBackend(jobs=8),      # or SerialBackend()
+        backend=BatchRunner(jobs=8),             # or SerialBackend()
         store=ResultStore("~/.cache/svw-repro"),  # reruns become cache reads
     )
     print(result.avg_speedup_pct("+SVW+UPD"))
@@ -25,9 +25,9 @@ The pieces:
 
 - :class:`ExperimentSpec` / :class:`ExperimentBuilder` -- a hashable,
   declarative description of a sweep (configs x workloads x budget).
-- :class:`SerialBackend` / :class:`ProcessPoolBackend` /
-  :class:`BatchRunner` -- interchangeable executors producing
-  bit-identical statistics for the same spec.  The batch runner (what
+- :class:`SerialBackend` / :class:`BatchRunner` -- interchangeable
+  executors producing bit-identical statistics for the same spec.  The
+  batch runner (the one local parallel backend, and what
   ``make_backend`` picks for ``jobs > 1``) groups cells by workload,
   publishes each encoded trace once per sweep through shared memory, and
   runs all configs of a workload in a single pass over one decoded trace.
@@ -65,11 +65,9 @@ shim over this API.
 from repro.experiments.backends import (
     CellExecutionError,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     execute_request,
     make_backend,
-    submission_order,
 )
 from repro.experiments.batch import BatchRunner, CostModel, session_cost_model
 from repro.experiments.campaign import (
@@ -128,7 +126,6 @@ __all__ = [
     "FsckReport",
     "JournalScrubReport",
     "MergeReport",
-    "ProcessPoolBackend",
     "RemoteBackend",
     "ResultMergeError",
     "ResultStore",
@@ -146,6 +143,5 @@ __all__ = [
     "scrub_journals",
     "session_cost_model",
     "shutdown_session_pools",
-    "submission_order",
     "workload_key",
 ]

@@ -1,10 +1,10 @@
 """Single-pass multi-config sweep execution (the ``BatchRunner``).
 
 The figure sweeps are matrices: every workload is simulated under several
-machine configurations.  Cell-granular pools ship one task per cell and
-pay trace materialization per task; the :class:`BatchRunner` instead
-groups a sweep's cells by workload and runs **all configs of one workload
-in a single pass over one decoded trace**:
+machine configurations.  Rather than shipping one task per cell and paying
+trace materialization per task, the :class:`BatchRunner` -- the one local
+parallel backend -- groups a sweep's cells by workload and runs **all
+configs of one workload in a single pass over one decoded trace**:
 
 - the parent generates + encodes each workload trace at most once per
   sweep (:class:`~repro.experiments.traces.TraceProvider`) and publishes
@@ -214,6 +214,8 @@ def _run_chunk(
 class BatchRunner:
     """Workload-grouped, single-pass sweep execution.
 
+    The trace carrier (shared memory or tempfile) follows
+    ``SVW_TRACE_TRANSPORT`` (see :mod:`repro.experiments.transport`).
     ``jobs <= 1`` runs the same grouped schedule in-process (no pool, no
     transport) -- useful for tests and for machines where fork is costly.
     ``pool_scope="session"`` reuses one long-lived pool across runs (see
@@ -225,7 +227,6 @@ class BatchRunner:
         self,
         jobs: int | None = None,
         trace_cache: TraceCache | None = None,
-        carrier: str | None = None,
         pool_scope: str = "sweep",
         cost_model: CostModel | None = None,
     ) -> None:
@@ -241,7 +242,6 @@ class BatchRunner:
         #: pure loss).
         self.workers = max(1, min(self.jobs, os.cpu_count() or self.jobs))
         self.trace_cache = trace_cache
-        self.carrier = carrier
         self.pool_scope = validate_pool_scope(pool_scope)
         self.cost_model = cost_model if cost_model is not None else _SESSION_COST_MODEL
         #: Provider of the most recent run (its ``generations`` counter is
@@ -385,7 +385,6 @@ class BatchRunner:
         run_with_published_traces(
             self.workers,
             provider,
-            self.carrier,
             units,
             submit,
             collect,

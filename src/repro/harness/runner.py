@@ -40,7 +40,7 @@ def run_matrix(
     :func:`~repro.experiments.spec.matrix_spec` and handing it to
     :func:`~repro.experiments.run.run_experiment` with a
     :class:`~repro.experiments.backends.SerialBackend`; use that API
-    directly for parallel execution (``ProcessPoolBackend``) or cached
+    directly for parallel execution (``BatchRunner``) or cached
     results (``ResultStore``).
     """
     spec = matrix_spec(

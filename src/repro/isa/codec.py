@@ -25,9 +25,9 @@ column payload, and the ordered ``(column, typecode, item_count)`` table
 the decoder slices the payload with.  Columns are :mod:`array` typecodes;
 variable-length per-instruction data (register sources, wrong-path address
 sets) is stored as a flattened value column plus an offsets column, the
-standard CSR trick.  The ``meta_*`` columns are retained for wire-format
-compatibility (decoders of version 1 may consume them); this decoder
-re-derives them from the op column, which is the same computation.
+standard CSR trick.  The ``meta_*`` columns are part of the layout for
+external readers of the format; this decoder re-derives them from the op
+column, which is the same computation.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ MAGIC = b"SVWT"
 #: hold traces the numpy generator no longer reproduces, and their keys
 #: (profile fingerprint + budget) would collide across the break.
 CODEC_VERSION = 2
-
-#: Versions :func:`decode_trace` accepts.  v1 and v2 share one layout, so
-#: archived v1-era traces stay decodable (oracle suites, tooling) even
-#: though the cache no longer serves them.
-SUPPORTED_VERSIONS = frozenset({1, 2})
 
 _HEADER_FMT = "<4sII"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
@@ -134,7 +129,7 @@ def _read_header(buf) -> tuple[dict, memoryview]:
     magic, version, header_len = struct.unpack_from(_HEADER_FMT, view)
     if magic != MAGIC:
         raise TraceCodecError(f"bad magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != CODEC_VERSION:
         raise TraceCodecError(f"unsupported trace codec version {version}")
     if len(view) < _HEADER_SIZE + header_len:
         raise TraceCodecError("buffer truncated inside header")

@@ -57,10 +57,7 @@ import gc
 from collections import deque
 from heapq import heappop, heappush
 
-try:  # column-kernel precompute (see Performance notes above)
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    _np = None
+import numpy as np
 
 from repro.core.ssn import SSNState
 from repro.core.svw import SVWEngine
@@ -95,22 +92,6 @@ _SVW_FLUSH = RexState.SVW_FLUSH
 
 #: Terminal states that let an entry retire from the re-execution queue.
 _REX_RETIRED = (_DONE_OK, _FILTERED, _FAILED, _SVW_FLUSH)
-
-#: Default for :class:`Processor`'s ``vectorize`` flag: precompute per-seq
-#: probe/bank columns over the flat trace columns (numpy-accelerated when
-#: available) and index them from the per-cycle loops.  The scalar path
-#: stays selectable so the column-vs-kernel oracle suite can assert both
-#: produce bit-identical fingerprints.
-VECTORIZE_DEFAULT = True
-
-
-def vectorization_mode(vectorize: bool | None = None) -> str:
-    """The vectorization tag recorded in BENCH payloads."""
-    enabled = VECTORIZE_DEFAULT if vectorize is None else vectorize
-    if not enabled:
-        return "scalar"
-    return "numpy" if _np is not None else "column"
-
 
 class SimulationError(RuntimeError):
     """The simulation reached an inconsistent or deadlocked state."""
@@ -171,7 +152,6 @@ class Processor:
         "_event_heap",
         "_wake_cause",
         # flat trace columns (hot-loop flattening; see ColumnTrace.hot)
-        "vectorized",
         "_ssbf_i1",
         "_ssbf_i2",
         "_bank_bits",
@@ -199,8 +179,6 @@ class Processor:
         "_load_latency",
         "_store_latency",
         "_l1d_latency",
-        "_l1d_line_bytes",
-        "_l1d_bank_mask",
         "_fsq_ports",
         "_max_pops",
         "_slot_template",
@@ -229,7 +207,6 @@ class Processor:
         validate: bool = False,
         warmup: int = 0,
         skip_ahead: bool = True,
-        vectorize: bool | None = None,
     ) -> None:
         """Args:
         config: The machine to model.
@@ -246,12 +223,6 @@ class Processor:
             are bit-identical either way (the golden-equivalence tests
             assert this); disabling it exists for those tests and for
             debugging cycle-by-cycle traces.
-        vectorize: Precompute per-seq probe/bank columns and index them
-            from the per-cycle loops instead of redoing the address
-            arithmetic per access.  ``None`` takes the module default
-            (:data:`VECTORIZE_DEFAULT`).  Results are bit-identical
-            either way (the column-vs-kernel oracle suite asserts this);
-            the scalar path exists for those tests.
         """
         trace = trace.columns()
         self.config = config
@@ -355,8 +326,6 @@ class Processor:
         self._load_latency = config.load_latency
         self._store_latency = LATENCY_BY_OP[OpClass.STORE]
         self._l1d_latency = config.hierarchy.l1d.latency
-        self._l1d_line_bytes = config.hierarchy.l1d.line_bytes
-        self._l1d_bank_mask = config.hierarchy.l1d.banks - 1
         self._fsq_ports = config.fsq_ports
         self._max_pops = 3 * config.width + 8
         self._svw_upd = (
@@ -401,25 +370,20 @@ class Processor:
         # Addresses are trace-static, so the SSBF probe indices and the
         # L1D bank bits are pure functions of seq -- computed once here
         # (vectorized) and indexed from the re-execution and issue loops.
-        self.vectorized = VECTORIZE_DEFAULT if vectorize is None else vectorize
+        # The probe columns exist only where the engine offers them (an
+        # enabled single-table SSBF); every other organization keeps the
+        # engine's method path.
         self._ssbf_i1: list[int] | None = None
         self._ssbf_i2: list[int] | None = None
-        self._bank_bits: list[int] | None = None
-        if self.vectorized:
-            if self.svw is not None:
-                probes = self.svw.probe_columns(hot.addr, hot.size)
-                if probes is not None:
-                    self._ssbf_i1, self._ssbf_i2 = probes
-            line_bytes = self._l1d_line_bytes
-            bank_mask = self._l1d_bank_mask
-            if _np is not None:
-                addr = _np.asarray(hot.addr, dtype=_np.int64)
-                bits = _np.left_shift(1, (addr // line_bytes) & bank_mask)
-                self._bank_bits = bits.tolist()
-            else:
-                self._bank_bits = [
-                    1 << ((a // line_bytes) & bank_mask) for a in hot.addr
-                ]
+        if self.svw is not None:
+            probes = self.svw.probe_columns(hot.addr, hot.size)
+            if probes is not None:
+                self._ssbf_i1, self._ssbf_i2 = probes
+        l1d = config.hierarchy.l1d
+        addr = np.asarray(hot.addr, dtype=np.int64)
+        self._bank_bits: list[int] = np.left_shift(
+            1, (addr // l1d.line_bytes) & (l1d.banks - 1)
+        ).tolist()
         #: Exact count of squashed-but-still-heaped ready entries.  While
         #: it is zero and the cycle's issue bandwidth is spent, the select
         #: loop can stop popping: every further pop in the naive loop
@@ -1041,8 +1005,6 @@ class Processor:
         m_kind = self._m_kind
         m_iclass = meta.issue_class
         m_latency = meta.latency
-        line_bytes = self._l1d_line_bytes
-        bank_mask = self._l1d_bank_mask
         bank_bits = self._bank_bits
         load_must_wait = self._load_must_wait
         execute_load = self._execute_load
@@ -1090,10 +1052,7 @@ class Processor:
                     # SQ CAM hit on a store without data: replay next cycle.
                     deferred.append(item)
                     continue
-                if bank_bits is not None:
-                    bank_bit = bank_bits[seq]
-                else:
-                    bank_bit = 1 << ((entry.addr // line_bytes) & bank_mask)
+                bank_bit = bank_bits[seq]
                 if banks_used & bank_bit:
                     deferred.append(item)
                     continue

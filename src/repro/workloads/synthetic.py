@@ -9,13 +9,11 @@ few inherently sequential decisions (exact silent-store values against
 the functional memory image, collision claiming, wrong-path payloads)
 run as small per-block Python loops over a handful of rows.
 
-This module deliberately draws a **different RNG stream** than the frozen
-epoch-v1 pair (:mod:`repro.workloads.synthetic_v1` /
-:mod:`repro.workloads.reference`): moving from per-instruction
-``random.Random`` draws to per-block ``numpy`` PCG64 streams is the
-one-time fingerprint break recorded in ROADMAP.md.  v2 traces are pinned
-by their own golden fingerprints (``tests/workloads/test_v2_goldens.py``)
-and the v1 pair remains importable as the draw-exact oracle.
+This module deliberately draws a **different RNG stream** than the
+retired epoch-v1 generator: moving from per-instruction ``random.Random``
+draws to per-block ``numpy`` PCG64 streams was a one-time fingerprint
+break.  v2 traces are pinned by their golden fingerprints
+(``tests/workloads/test_v2_goldens.py``).
 
 Determinism and the prefix property are preserved by construction:
 

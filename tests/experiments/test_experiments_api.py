@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.experiments import (
+    BatchRunner,
     ExperimentBuilder,
     ExperimentSpec,
     FigureResult,
-    ProcessPoolBackend,
     ResultStore,
     SerialBackend,
     WorkloadSpec,
@@ -129,8 +129,8 @@ class TestFingerprints:
 
 
 class TestBackendParity:
-    def test_process_pool_matches_serial_bitwise(self, small_spec, serial_result):
-        pooled = run_experiment(small_spec, backend=ProcessPoolBackend(jobs=2))
+    def test_batch_runner_matches_serial_bitwise(self, small_spec, serial_result):
+        pooled = run_experiment(small_spec, backend=BatchRunner(jobs=2))
         for benchmark in small_spec.benchmark_names:
             for config in small_spec.config_order:
                 assert (
@@ -139,8 +139,6 @@ class TestBackendParity:
                 ), (benchmark, config)
 
     def test_make_backend_dispatch(self):
-        from repro.experiments import BatchRunner
-
         assert isinstance(make_backend(None), SerialBackend)
         assert isinstance(make_backend(1), SerialBackend)
         backend = make_backend(3)

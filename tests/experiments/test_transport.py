@@ -163,8 +163,8 @@ class TestCrashCleanup:
         published: list = []
         real_publish = backends_mod.publish_trace
 
-        def recording_publish(key, data, carrier=None):
-            ref = real_publish(key, data, carrier=carrier)
+        def recording_publish(key, data):
+            ref = real_publish(key, data)
             published.append(ref)
             return ref
 
@@ -183,7 +183,6 @@ class TestCrashCleanup:
             run_with_published_traces(
                 1,
                 provider,
-                None,
                 units,
                 lambda pool, ref, payload: pool.submit(_crash_worker, ref),
                 lambda payload, result: None,

@@ -144,10 +144,13 @@ class TestCorruption:
         with pytest.raises(TraceCodecError, match="magic"):
             decode_trace(bytes(data))
 
-    def test_unsupported_version(self):
+    # Version 1 shares the v2 byte layout but holds traces of the retired
+    # epoch-v1 generator; only the current version decodes.
+    @pytest.mark.parametrize("version", [1, CODEC_VERSION + 1])
+    def test_unsupported_version(self, version):
         data = bytearray(encode_trace(all_opclass_trace()))
         assert data[:4] == MAGIC
-        data[4] = (CODEC_VERSION + 1) & 0xFF
+        data[4] = version & 0xFF
         with pytest.raises(TraceCodecError, match="version"):
             decode_trace(bytes(data))
 
@@ -193,35 +196,6 @@ class TestCorruption:
         data = encode_trace(all_opclass_trace())
         clone = decode_trace(data + b"\x00" * 4096)
         assert roundtrip_equal(all_opclass_trace(), clone)
-
-
-class TestDualVersionDecode:
-    """v1 and v2 share one byte layout; both epochs must stay decodable
-    (archived v1-era cache entries, oracle suites, tooling)."""
-
-    def test_decodes_every_supported_version(self):
-        from repro.isa.codec import SUPPORTED_VERSIONS
-
-        trace = all_opclass_trace()
-        data = bytearray(encode_trace(trace))
-        assert data[4] == CODEC_VERSION == 2
-        assert SUPPORTED_VERSIONS == {1, 2}
-        for version in sorted(SUPPORTED_VERSIONS):
-            data[4] = version
-            clone = decode_trace(bytes(data))
-            assert roundtrip_equal(trace, clone), version
-
-    def test_v1_era_cache_entry_decodes(self):
-        # A frozen-v1-generator trace framed as version 1 is exactly what
-        # a v1-era on-disk cache entry holds; re-encoding the decode must
-        # give the current-version frame of the same columns.
-        from repro.workloads.synthetic_v1 import generate_trace_v1
-
-        trace = generate_trace_v1(spec_profile("gcc"), 800)
-        current_frame = encode_trace(trace)
-        v1_frame = bytearray(current_frame)
-        v1_frame[4] = 1
-        assert encode_trace(decode_trace(bytes(v1_frame))) == current_frame
 
 
 class TestMetaHooks:

@@ -1,14 +1,17 @@
-"""Column-vs-kernel self-consistency oracle (the epoch-v2 counterpart of
-the v1-vs-v1 generator oracle).
+"""Probe-column oracle: the processor's inlined SSBF fast path vs the
+engine's method path.
 
-The processor's ``vectorize`` flag selects between the per-seq column
-kernels (SSBF probe indices, L1D bank bits, precomputed in ``__init__``)
-and the scalar per-access arithmetic they replace.  The two paths must be
-*bit-identical*: same statistics fingerprint, same SVW filter counters,
-for every LSU kind, re-execution mode, and SSBF organization -- including
-the ones the fast path must decline (dual/banked/infinite tables, disabled
-filters) and the ones that stress its table-rebinding contract (SSN wrap
-drains flash-clear and rebind the SSBF table mid-run).
+For an enabled single-table SSBF the processor precomputes per-seq probe
+index columns (``SVWEngine.probe_columns``) and inlines the filter test
+and the SSBF update over them; every other organization (dual, banked,
+infinite tables, a disabled filter) keeps ``must_reexecute`` /
+``record_store``.  The reference side here forces the method path for
+*every* configuration by substituting a ``probe_columns`` that declines,
+and the two sides must be *bit-identical*: same statistics fingerprint,
+same SVW filter counters, for every LSU kind, re-execution mode, and SSBF
+organization -- including the ones that stress the fast path's
+table-rebinding contract (SSN wrap drains flash-clear and rebind the SSBF
+table mid-run).
 """
 
 from __future__ import annotations
@@ -61,30 +64,39 @@ ALL_CONFIGS = {
 }
 
 
+def method_path_processor(monkeypatch, config, trace, **kwargs) -> Processor:
+    """A processor built while the engine declines to offer probe columns,
+    so the re-execution pipe runs ``must_reexecute``/``record_store``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(SVWEngine, "probe_columns", lambda self, addrs, sizes: None)
+        processor = Processor(config, trace, **kwargs)
+    assert processor._ssbf_i1 is None
+    return processor
+
+
 @pytest.mark.parametrize("name", sorted(ALL_CONFIGS))
 @pytest.mark.parametrize("workload", ["gcc", "mcf"])
-def test_vectorized_matches_scalar(name, workload):
+def test_probe_columns_match_method_path(name, workload, monkeypatch):
     """Same trace, same config: fingerprints and filter counters match."""
     config = ALL_CONFIGS[name]
     trace = generate_trace(spec_profile(workload), N)
-    vec = Processor(config, trace, warmup=500, vectorize=True)
-    scalar = Processor(config, trace, warmup=500, vectorize=False)
-    vec_stats = vec.run()
-    scalar_stats = scalar.run()
-    assert vec_stats.fingerprint() == scalar_stats.fingerprint(), name
-    if vec.svw is not None:
-        assert vec.svw.filter_tests == scalar.svw.filter_tests, name
-        assert vec.svw.filter_hits == scalar.svw.filter_hits, name
+    fast = Processor(config, trace, warmup=500)
+    method = method_path_processor(monkeypatch, config, trace, warmup=500)
+    fast_stats = fast.run()
+    method_stats = method.run()
+    assert fast_stats.fingerprint() == method_stats.fingerprint(), name
+    if fast.svw is not None:
+        assert fast.svw.filter_tests == method.svw.filter_tests, name
+        assert fast.svw.filter_hits == method.svw.filter_hits, name
 
 
 def test_fast_path_engages_only_for_flat_simple_tables():
-    """The kernel precompute exists exactly when it is sound."""
+    """The probe columns exist exactly when they are sound."""
     trace = generate_trace(spec_profile("gcc"), 500)
-    nlq = ALL_CONFIGS["nlq"]
-    assert Processor(nlq, trace, vectorize=True)._ssbf_i1 is not None
-    assert Processor(nlq, trace, vectorize=False)._ssbf_i1 is None
+    for name in ("nlq", "ssq", "svw-only", "tiny-ssn", "atomic"):
+        assert Processor(ALL_CONFIGS[name], trace)._ssbf_i1 is not None, name
     for name in ("dual-ssbf", "banked-ssbf", "disabled-svw", "conventional"):
-        assert Processor(ALL_CONFIGS[name], trace, vectorize=True)._ssbf_i1 is None
+        assert Processor(ALL_CONFIGS[name], trace)._ssbf_i1 is None, name
 
 
 def test_probe_columns_match_scalar_indices():
@@ -115,13 +127,13 @@ def test_engine_probe_columns_gating():
         )
 
 
-def test_bank_bits_match_inline_arithmetic():
-    """The precomputed L1D bank-bit column equals the per-access formula."""
+def test_bank_bits_match_hierarchy_load_bank():
+    """The precomputed L1D bank-bit column equals the hierarchy's bank
+    mapping, seq by seq."""
     trace = generate_trace(spec_profile("twolf"), 2000)
-    config = ALL_CONFIGS["conventional"]
-    processor = Processor(config, trace, vectorize=True)
-    line_bytes = config.hierarchy.l1d.line_bytes
-    bank_mask = config.hierarchy.l1d.banks - 1
-    assert processor._bank_bits == [
-        1 << ((addr // line_bytes) & bank_mask) for addr in trace.hot().addr
-    ]
+    processor = Processor(ALL_CONFIGS["conventional"], trace)
+    addrs = trace.hot().addr
+    assert len(processor._bank_bits) == len(addrs)
+    load_bank = processor.hierarchy.load_bank
+    for seq, addr in enumerate(addrs):
+        assert processor._bank_bits[seq] == 1 << load_bank(addr)

@@ -1,25 +1,24 @@
-"""Golden equivalence of the frozen v1 pair: column-native vs object path.
+"""Column-native vs object-built traces: one stream, two representations.
 
-Since the epoch-v2 fingerprint break, this suite is the **v1-vs-v1
-oracle**: both sides are frozen (neither is the live generator), and
-their draw-exact agreement pins the v1 trace identity forever.  The live
-epoch-v2 generator is gated separately by its golden fingerprints in
-``tests/workloads/test_v2_goldens.py``.
+The simulator, codec and workers consume :class:`ColumnTrace`; kernels and
+hand-written tests build :class:`Trace` objects that are columnized once
+through :meth:`Trace.columns`.  This suite pins that the two forms of the
+same stream are interchangeable:
 
-Two guarantees are pinned here:
-
-1. **Generator equivalence**: the frozen v1 column-native generator
-   (:func:`repro.workloads.synthetic_v1.generate_trace_v1`) emits
-   bit-identical traces to the frozen object-path reference
-   (:func:`repro.workloads.reference.generate_trace_objects`) for every
-   shipped workload profile x 3 seeds -- proven at the strongest level
-   available, equality of the encoded wire bytes (which covers every
-   column, the CSR source lists, wrong-path sets, metadata, and the name).
+1. **Representation equivalence**: the lazy ``DynInst`` view of a column
+   trace reproduces the objects it was built from, ``TraceMeta`` derived
+   from columns equals ``TraceMeta`` built from objects, and a live
+   generator trace rebuilt as objects columnizes back to the same wire
+   bytes -- for object-built kernel traces and for the live generator
+   (:func:`repro.workloads.synthetic.generate_trace`) alike.
 
 2. **Simulator equivalence**: feeding the :class:`Processor` a
    column-native trace produces the exact ``SimStats.fingerprint()`` that
-   feeding it the object-built trace does, for every LSU kind (synthetic
-   and kernel workloads alike).
+   feeding it the object-built trace does, for every LSU kind, and a
+   codec round-trip simulates identically to the original.
+
+The live generator's own trace identity is gated by its golden
+fingerprints in ``tests/workloads/test_v2_goldens.py``.
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ import pytest
 from repro.harness.bench import bench_configs
 from repro.isa.codec import decode_trace, encode_trace
 from repro.isa.coltrace import ColumnTrace
+from repro.isa.inst import Trace, TraceMeta
 from repro.pipeline.processor import Processor
-from repro.workloads.kernels import kernel_trace
+from repro.workloads.kernels import KERNELS, kernel_trace
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.reference import generate_trace_objects
 from repro.workloads.spec2000 import SPEC_ORDER, spec_profile
-from repro.workloads.synthetic_v1 import generate_trace_v1 as generate_trace
+from repro.workloads.synthetic import _BlockGenerator, generate_trace
 
 INSTS = 1500
 SEED_SHIFTS = (0, 1, 2)
@@ -49,52 +48,80 @@ SHIPPED_PROFILES: dict[str, WorkloadProfile] = {
 SHIPPED_PROFILES["synthetic-default"] = WorkloadProfile(name="synthetic-default")
 
 
-class TestGeneratorEquivalence:
+def as_objects(column: ColumnTrace) -> Trace:
+    """An object-built copy of ``column``: fresh ``Trace``, no attached
+    meta or columns, so every derived view goes through the object path."""
+    return Trace(
+        name=column.name,
+        insts=list(column.insts),
+        initial_memory=dict(column.initial_memory),
+        wrong_path_addrs=dict(column.wrong_path_addrs),
+    )
+
+
+#: Object-built traces under test: every kernel, plus live-generator
+#: traces rebuilt as objects (these carry wrong-path address sets, which
+#: no kernel does).
+OBJECT_SOURCES = [f"kernel:{name}" for name in sorted(KERNELS)] + [
+    "generated:gcc",
+    "generated:vortex",
+]
+
+
+def object_trace(source: str) -> Trace:
+    kind, name = source.split(":")
+    if kind == "kernel":
+        return kernel_trace(name)
+    return as_objects(generate_trace(spec_profile(name), INSTS))
+
+
+class TestRepresentationEquivalence:
+    @pytest.mark.parametrize("source", OBJECT_SOURCES)
+    def test_instruction_views_identical(self, source):
+        """The lazy DynInst view reproduces the objects exactly."""
+        objects = object_trace(source)
+        column = ColumnTrace.from_trace(objects)
+        assert column.insts == objects.insts
+        assert column.wrong_path_addrs == objects.wrong_path_addrs
+        assert column.initial_memory == objects.initial_memory
+
+    @pytest.mark.parametrize("source", OBJECT_SOURCES)
+    def test_meta_identical(self, source):
+        """TraceMeta from columns == TraceMeta from objects."""
+        objects = object_trace(source)
+        column = ColumnTrace.from_trace(objects).meta()
+        built = TraceMeta(objects.insts)
+        assert column.kind == built.kind
+        assert column.latency == built.latency
+        assert column.issue_class == built.issue_class
+        assert column.words == built.words
+        assert column.signature == built.signature
+
     @pytest.mark.parametrize("seed_shift", SEED_SHIFTS)
     @pytest.mark.parametrize("name", sorted(SHIPPED_PROFILES))
-    def test_wire_bytes_identical(self, name, seed_shift):
-        """encode(column-native) == encode(reference objects), per seed."""
+    def test_generated_wire_bytes_survive_object_rebuild(self, name, seed_shift):
+        """encode(generated columns) == encode(objects rebuilt from them)."""
         profile = dataclasses.replace(
             SHIPPED_PROFILES[name], seed=SHIPPED_PROFILES[name].seed + seed_shift
         )
-        legacy = generate_trace_objects(profile, INSTS)
         column = generate_trace(profile, INSTS)
         assert isinstance(column, ColumnTrace)
-        assert encode_trace(column) == encode_trace(legacy), (name, profile.seed)
-
-    def test_instruction_views_identical(self):
-        """The lazy DynInst view reproduces the reference objects exactly."""
-        profile = spec_profile("gcc")
-        legacy = generate_trace_objects(profile, INSTS)
-        column = generate_trace(profile, INSTS)
-        assert column.insts == legacy.insts
-        assert column.wrong_path_addrs == legacy.wrong_path_addrs
-        assert column.initial_memory == legacy.initial_memory
+        objects = as_objects(column)
+        assert encode_trace(objects) == encode_trace(column), (name, profile.seed)
 
     def test_heap_draw_bounds_match_randrange_ceiling(self):
-        """The inlined heap-offset rejection loops must use randrange's
-        ceiling division for the candidate count: ``heap_bytes`` is only
-        required to be a multiple of 8, so the half-heap widths need not
-        divide 8 evenly and flooring would drop the last candidate."""
-        from repro.workloads.synthetic_v1 import _Generator
-
+        """The heap-offset candidate counts use ceiling division:
+        ``heap_bytes`` is only required to be a multiple of 8, so the
+        half-heap widths need not divide 8 evenly and flooring would drop
+        the last candidate."""
         profile = dataclasses.replace(
             WorkloadProfile(name="odd-heap"), heap_bytes=(1 << 14) + 8
         )
-        generator = _Generator(profile, 10, 0)
+        generator = _BlockGenerator(profile, 10, 0)
         half = profile.heap_bytes // 2
-        assert generator._heap_load_n == -(-(profile.heap_bytes - half) // 8)
-        assert generator._heap_store_n == -(-half // 8)
-
-    def test_meta_identical(self):
-        profile = spec_profile("vortex")
-        legacy = generate_trace_objects(profile, INSTS).meta()
-        column = generate_trace(profile, INSTS).meta()
-        assert column.kind == legacy.kind
-        assert column.latency == legacy.latency
-        assert column.issue_class == legacy.issue_class
-        assert column.words == legacy.words
-        assert column.signature == legacy.signature
+        assert half % 8  # the odd half-width the ceiling exists for
+        assert generator.heap_load_n == -(-(profile.heap_bytes - half) // 8)
+        assert generator.heap_store_n == -(-half // 8)
 
 
 class TestProcessorEquivalence:
@@ -104,10 +131,9 @@ class TestProcessorEquivalence:
     def test_columns_match_objects_per_lsu(self, kind):
         """Processor-on-columns == Processor-on-objects, bit for bit."""
         _, config = bench_configs()[kind]
-        profile = spec_profile("gcc")
-        legacy = generate_trace_objects(profile, self.N)
-        column = generate_trace(profile, self.N)
-        on_objects = Processor(config, legacy, validate=True, warmup=500).run()
+        column = generate_trace(spec_profile("gcc"), self.N)
+        objects = as_objects(column)
+        on_objects = Processor(config, objects, validate=True, warmup=500).run()
         on_columns = Processor(config, column, validate=True, warmup=500).run()
         assert on_objects.fingerprint() == on_columns.fingerprint(), kind
 
