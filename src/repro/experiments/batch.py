@@ -71,9 +71,9 @@ class CostModel:
     Weights are *relative* (measured rates are normalized by the running
     mean), making measured and heuristic cells comparable.
 
-    The model feeds :class:`BatchRunner` scheduling only -- grouping order
-    and chunk split points -- never results; a wildly wrong model costs
-    balance, not correctness.
+    The model feeds scheduling only -- :func:`plan_chunks` grouping order
+    and split points, remote deadlines -- never results; a wildly wrong
+    model costs balance, not correctness.
     """
 
     #: Heuristic weight for ideal-re-execution configs before any timing.
@@ -183,6 +183,69 @@ def session_cost_model() -> CostModel:
     return _SESSION_COST_MODEL
 
 
+def plan_chunks(
+    requests: Sequence[RunRequest], cost_model: CostModel, parallelism: int
+) -> list[tuple[str, list[int]]]:
+    """Cells grouped into trace-sharing chunks, costliest-expected-first.
+
+    Every chunk is ``(trace key, request indices)``: cells that replay one
+    materialized trace, in request order.  Expected work is the cost
+    model's weighted instruction budget; the workload-name tiebreak keeps
+    the order deterministic across runs for a given model state.  This is
+    the one planner of the tree: :class:`BatchRunner` chunks pool tasks
+    with it, and :class:`~repro.experiments.remote.RemoteBackend` ships
+    each chunk as one job frame.
+
+    Groups are split only while there are fewer chunks than
+    ``parallelism`` and some chunk still has more than one cell: splitting
+    trades one extra decode (amortized by the worker-local trace memo) for
+    parallelism.  The costliest chunk splits first, at the cell boundary
+    that best balances its two halves' expected cost -- with a learned
+    model this keeps one ``+PERFECT`` cell from dragging a whole
+    half-chunk behind it.
+    """
+    cost = cost_model.cost
+    chunk_cost = lambda indices: sum(cost(requests[i]) for i in indices)  # noqa: E731
+    by_key: dict[str, list[int]] = {}
+    for index, request in enumerate(requests):
+        by_key.setdefault(request_key(request), []).append(index)
+    chunks = sorted(
+        by_key.items(),
+        key=lambda item: (-chunk_cost(item[1]), requests[item[1][0]].workload.name),
+    )
+    while len(chunks) < parallelism:
+        # Split the costliest chunk that still *can* split -- a single-cell
+        # chunk may well be the costliest (one slow config on one
+        # workload) without meaning the others are done too.
+        splittable = [item for item in chunks if len(item[1]) >= 2]
+        if not splittable:
+            break
+        key, widest = max(
+            splittable, key=lambda item: (chunk_cost(item[1]), len(item[1]))
+        )
+        chunks.remove((key, widest))
+        # Prefix-cost split point closest to half the chunk's cost (always
+        # leaving at least one cell on each side).
+        total = chunk_cost(widest)
+        prefix = 0.0
+        split = 1
+        for position in range(len(widest) - 1):
+            prefix += cost(requests[widest[position]])
+            split = position + 1
+            if prefix * 2 >= total:
+                break
+        chunks.append((key, widest[:split]))
+        chunks.append((key, widest[split:]))
+        chunks.sort(
+            key=lambda item: (
+                -chunk_cost(item[1]),
+                requests[item[1][0]].workload.name,
+                item[1][0],
+            )
+        )
+    return chunks
+
+
 def _run_chunk(
     ref: TraceRef, cells: list[_CellPayload]
 ) -> list[tuple[SimStats, float]]:
@@ -250,72 +313,12 @@ class BatchRunner:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _groups(self, requests: Sequence[RunRequest]) -> list[tuple[str, list[int]]]:
-        """Cells grouped by materialized trace, costliest-expected-first.
-
-        Expected work is the cost model's weighted instruction budget; the
-        workload-name tiebreak keeps the order deterministic across runs
-        for a given model state.
-        """
-        by_key: dict[str, list[int]] = {}
-        for index, request in enumerate(requests):
-            by_key.setdefault(request_key(request), []).append(index)
-        cost = self.cost_model.cost
-        return sorted(
-            by_key.items(),
-            key=lambda item: (
-                -sum(cost(requests[i]) for i in item[1]),
-                requests[item[1][0]].workload.name,
-            ),
-        )
-
     def _chunks(
         self, requests: Sequence[RunRequest]
     ) -> list[tuple[str, list[int]]]:
-        """Groups split until the pool has work for every worker.
-
-        Splitting trades one extra decode (amortized by the worker-local
-        trace memo) for parallelism, so it only happens while chunks
-        outnumbering workers is impossible and some chunk still has more
-        than one cell.  The costliest chunk splits first, at the cell
-        boundary that best balances its two halves' expected cost --
-        with a learned model this keeps one ``+PERFECT`` cell from
-        dragging a whole half-chunk behind it.
-        """
-        chunks = self._groups(requests)
-        cost = self.cost_model.cost
-        chunk_cost = lambda indices: sum(cost(requests[i]) for i in indices)  # noqa: E731
-        while len(chunks) < self.jobs:
-            # Split the costliest chunk that still *can* split -- a
-            # single-cell chunk may well be the costliest (one slow config
-            # on one workload) without meaning the others are done too.
-            splittable = [item for item in chunks if len(item[1]) >= 2]
-            if not splittable:
-                break
-            key, widest = max(
-                splittable, key=lambda item: (chunk_cost(item[1]), len(item[1]))
-            )
-            chunks.remove((key, widest))
-            # Prefix-cost split point closest to half the chunk's cost
-            # (always leaving at least one cell on each side).
-            total = chunk_cost(widest)
-            prefix = 0.0
-            split = 1
-            for position in range(len(widest) - 1):
-                prefix += cost(requests[widest[position]])
-                split = position + 1
-                if prefix * 2 >= total:
-                    break
-            chunks.append((key, widest[:split]))
-            chunks.append((key, widest[split:]))
-            chunks.sort(
-                key=lambda item: (
-                    -chunk_cost(item[1]),
-                    requests[item[1][0]].workload.name,
-                    item[1][0],
-                )
-            )
-        return chunks
+        """This runner's chunk plan: :func:`plan_chunks` at ``jobs``-way
+        parallelism."""
+        return plan_chunks(requests, self.cost_model, self.jobs)
 
     # -- execution -----------------------------------------------------------
 
@@ -334,7 +337,7 @@ class BatchRunner:
         self.last_provider = provider
         observe = self.cost_model.observe
         results: list[SimStats | None] = [None] * len(requests)
-        for _, indices in self._groups(requests):
+        for _, indices in plan_chunks(requests, self.cost_model, 1):
             trace = provider.trace_for(requests[indices[0]])
             for index in indices:
                 request = requests[index]

@@ -775,7 +775,9 @@ class CampaignDaemon:
 
     async def _dispatch_loop(self, worker: _Worker) -> None:
         """One job connection to one worker slot: the asyncio twin of a
-        :class:`~repro.experiments.remote.RemoteBackend` worker thread."""
+        :class:`~repro.experiments.remote.RemoteBackend` worker thread,
+        except that every job frame is a one-cell chunk (cross-campaign
+        dedup schedules cells, not chunks)."""
         import asyncio
 
         reader = writer = None
@@ -915,7 +917,7 @@ class CampaignDaemon:
                 raise TimeoutError(f"job deadline {deadline:.1f}s exceeded") from None
 
         await _send_json_async(
-            writer, build_job_message(cell.request, cell.fingerprint, key, digest)
+            writer, build_job_message([(cell.fingerprint, cell.request)], key, digest)
         )
         while True:
             message = await recv_within_deadline()

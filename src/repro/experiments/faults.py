@@ -11,7 +11,7 @@ consult at well-known **sites**:
 site                      consulted by
 ========================  ====================================================
 ``worker.job``            :class:`~repro.experiments.remote.WorkerAgent`
-                          at the top of every served job (crash / drop /
+                          at the top of every served cell (crash / drop /
                           delay decisions)
 ``client.trace``          :class:`~repro.experiments.remote.RemoteBackend`
                           before shipping trace bytes (corrupt / truncate)

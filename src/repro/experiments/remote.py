@@ -20,26 +20,36 @@ README): every frame is either UTF-8 JSON or raw codec bytes, both fully
 validated before use, so a worker agent never executes attacker-supplied
 code paths beyond "simulate this machine on this trace".
 
-Wire protocol (version 1)
+Wire protocol (version 2)
 -------------------------
 
 Frames are ``kind (1 byte) + big-endian u32 length + payload``.  Kind
-``J`` is a JSON object; kind ``T`` is a raw encoded trace.  Per
-connection::
+``J`` is a JSON object; kind ``T`` is a raw encoded trace.  The unit of
+work is a **chunk**: cells that share one trace, planned by
+:func:`~repro.experiments.batch.plan_chunks` (the planner
+:class:`~repro.experiments.batch.BatchRunner` uses), sent as one job
+frame and answered cell by cell.  Per connection::
 
     client                                worker
     ------                                ------
-    J {type: hello, protocol: 1}    ->
-                                    <-    J {type: hello, protocol: 1, slots}
-    J {type: job, job_id, fingerprint,
-       config, n_insts, warmup,
-       validate, trace_key,
-       trace_sha256?, ...}          ->
-                                    <-    J {type: need_trace, key}   (miss only)
-    T <codec bytes>                 ->
+    J {type: hello, protocol: 2}    ->
+                                    <-    J {type: hello, protocol: 2, slots}
+    J {type: job, trace_key,
+       trace_sha256?,
+       cells: [{job_id, fingerprint,
+                config, n_insts,
+                warmup, validate,
+                ...}, ...]}         ->
+                                    <-    J {type: need_trace, key}
+    T <codec bytes>                 ->          (trace miss only; at most
+                                                 once per chunk)
                                     <-    J {type: result, job_id,
                                              fingerprint, stats, seconds}
                                           or J {type: error, job_id, message}
+                                          (one per cell, in chunk order)
+
+A single cell is a one-element ``cells`` list; there is no other job
+shape.  Version 1 peers (one cell per job frame) fail at hello.
 
 The ``need_trace`` round trip is the **host-level trace cache**: the job
 carries only the content key, and the worker answers from (1) its decoded
@@ -56,17 +66,21 @@ that residual is the perimeter trust model documented in the README.
 Scheduling and fault tolerance
 ------------------------------
 
-:class:`RemoteBackend` dispatches cells longest-expected-job-first, where
+:class:`RemoteBackend` dispatches chunks longest-expected-job-first, where
 "expected" comes from the session :class:`~repro.experiments.batch.
 CostModel` (persisted next to the :class:`~repro.experiments.store.
-ResultStore`, so cold sessions start balanced).  One client thread serves
-each worker; a worker that disconnects mid-cell has its in-flight cell
+ResultStore`, so cold sessions start balanced) -- one chunk per trace,
+split only while there are fewer chunks than workers.  One client thread
+serves each worker, one chunk at a time; the client verifies, costs and
+reports every cell as its answer arrives.  A worker that disconnects or
+misses a cell's deadline mid-chunk has the chunk's *unanswered* cells
 re-queued at the front and is dropped from the rotation, so a killed host
-costs one re-dispatch, never the sweep.  Deterministic cell failures
-(the simulation itself raising) are *not* retried -- they surface as
-:class:`~repro.experiments.backends.CellExecutionError` exactly like the
-local backends.  Results are positionally aligned with the request list
-and bit-identical to :class:`~repro.experiments.backends.SerialBackend`
+costs one re-dispatch, never the sweep (``max_attempts`` counts
+dispatches per cell).  Deterministic cell failures (the simulation itself
+raising) are *not* retried -- they surface as
+:class:`~repro.experiments.backends.CellExecutionError` naming the failing
+cell, exactly like the local backends.  Results are positionally aligned
+with the request list and bit-identical to :class:`~repro.experiments.backends.SerialBackend`
 (``svw-repro bench-sweep --remote-workers`` and the ``remote-equivalence``
 CI job enforce this).
 """
@@ -91,6 +105,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from repro.experiments.backends import CellExecutionError, ProgressFn, paused_gc
+from repro.experiments.batch import CostModel, plan_chunks, session_cost_model
 from repro.experiments.faults import CRASH_EXIT_CODE, FaultPlan
 from repro.experiments.spec import RunRequest
 from repro.experiments.store import ResultStore
@@ -103,14 +118,14 @@ from repro.pipeline.processor import Processor
 from repro.pipeline.stats import SimStats
 from repro.workloads.trace_cache import TraceCache
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 FRAME_JSON = b"J"
 FRAME_TRACE = b"T"
 #: Zlib-compressed trace frame -- sent only after BOTH sides advertised
-#: ``compress: ["zlib"]`` in the hello exchange, so protocol-v1 peers that
-#: predate compression interoperate untouched (they never negotiate it and
-#: therefore never see a ``Z`` frame).
+#: ``compress: ["zlib"]`` in the hello exchange, so peers that do not
+#: advertise compression interoperate untouched (they never negotiate it
+#: and therefore never see a ``Z`` frame).
 FRAME_ZTRACE = b"Z"
 
 #: The compression codecs this build can negotiate, best-first.
@@ -134,7 +149,7 @@ DEADLINE_FACTOR = 8.0
 
 
 class RemoteProtocolError(RuntimeError):
-    """The peer spoke, but not protocol v1 -- fatal, never retried."""
+    """The peer spoke, but not this protocol version -- fatal, never retried."""
 
 
 class CorruptTraceError(RemoteProtocolError):
@@ -147,7 +162,7 @@ class CorruptTraceError(RemoteProtocolError):
 
 
 def derive_deadline(
-    cost_model: "CostModel | None",
+    cost_model: CostModel | None,
     request: RunRequest,
     setting: float | str | None,
 ) -> float | None:
@@ -340,10 +355,10 @@ class WorkerAgent:
 
     ``faults`` injects a deterministic :class:`~repro.experiments.faults.
     FaultPlan` for chaos testing: the agent consults it at the top of
-    every served job (site ``worker.job``) and enacts what it decides --
+    every served cell (site ``worker.job``) and enacts what it decides --
     ``drop`` severs every connection like a killed host, ``crash`` exits
     the process without cleanup (subprocess fleets only), ``delay``
-    stalls the job to manufacture a straggler.  The retired ``drop_after``
+    stalls the cell to manufacture a straggler.  The retired ``drop_after``
     knob remains as a compat shim that builds the equivalent one-fault
     plan.
 
@@ -629,88 +644,111 @@ class WorkerAgent:
             conn.close()
 
     def _serve_job(self, conn: socket.socket, job: dict) -> None:
-        if self.faults is not None:
+        """Serve one job frame: a chunk of cells sharing one trace.
+
+        Cells run in order and each is answered by exactly one ``result``
+        or ``error`` frame keyed by its ``job_id``.  The trace is fetched
+        at most once per chunk, and only when a cell actually simulates (a
+        chunk answered wholly from the result memo ships nothing).
+        """
+        cells = job.get("cells")
+        key = job.get("trace_key")
+        if not isinstance(cells, list) or not cells or not isinstance(key, str):
+            raise RemoteProtocolError("job frame needs a trace_key and a non-empty cell list")
+        trace: Trace | ColumnTrace | None = None
+        for cell in cells:
+            if not isinstance(cell, dict):
+                raise RemoteProtocolError("job cell is not an object")
+            self._enact_fault()
+            job_id = cell.get("job_id")
+            if self.progress is not None:
+                self.progress(
+                    f"worker {self.address}: {cell.get('describe', f'job {job_id}')}"
+                )
+            memoized = self._memoized_stats(cell)
+            if memoized is not None:
+                with self._lock:
+                    self.memo_hits += 1
+                send_json(
+                    conn,
+                    {
+                        "type": "result",
+                        "job_id": job_id,
+                        "fingerprint": memoized.fingerprint(),
+                        "stats": memoized.to_dict(),
+                        "seconds": 0.0,  # <= 0 keeps memo hits out of cost models
+                        "memoized": True,
+                    },
+                )
+                continue
+            try:
+                config = MachineConfig.from_dict(cell["config"])
+                if trace is None:
+                    trace = self._trace_for(key, job.get("trace_sha256"), conn)
+                with self._sim_gate:
+                    started = time.perf_counter()
+                    stats = paused_gc(
+                        lambda: Processor(
+                            config,
+                            trace,
+                            validate=bool(cell["validate"]),
+                            warmup=int(cell["warmup"]),
+                        ).run()
+                    )
+                    seconds = time.perf_counter() - started
+            except (ConnectionError, OSError, RemoteProtocolError):
+                raise  # transport trouble is connection-fatal, not a cell error
+            except Exception as exc:  # deterministic cell failure -> error frame
+                send_json(
+                    conn,
+                    {
+                        "type": "error",
+                        "job_id": job_id,
+                        "message": f"{type(exc).__name__}: {exc}",
+                    },
+                )
+                continue
             with self._lock:
-                jobs_done = self.jobs_done
-            event = self.faults.job_fault("worker.job", jobs_done)
-            if event is not None:
-                if event.kind == "crash":
-                    # Die like kill -9: no goodbye frame, no cleanup.  Only
-                    # meaningful for subprocess fleets -- an in-process test
-                    # agent would take its test down with it.
-                    os._exit(CRASH_EXIT_CODE)
-                if event.kind == "drop":
-                    # Chaos mode: die like a killed host -- no goodbye frame.
-                    self.close()
-                    raise ConnectionError("chaos drop")
-                if event.kind == "delay":
-                    # Straggle: stall the whole job past any deadline the
-                    # dispatcher set.  close() interrupts the nap.
-                    self._closed.wait(event.value)
-        job_id = job.get("job_id")
-        describe = job.get("describe", f"job {job_id}")
-        if self.progress is not None:
-            self.progress(f"worker {self.address}: {describe}")
-        memoized = self._memoized_stats(job)
-        if memoized is not None:
-            with self._lock:
-                self.memo_hits += 1
+                self.jobs_done += 1
+            self._memoize_stats(cell, stats)
             send_json(
                 conn,
                 {
                     "type": "result",
                     "job_id": job_id,
-                    "fingerprint": memoized.fingerprint(),
-                    "stats": memoized.to_dict(),
-                    "seconds": 0.0,  # <= 0 keeps memo hits out of cost models
-                    "memoized": True,
+                    "fingerprint": stats.fingerprint(),
+                    "stats": stats.to_dict(),
+                    "seconds": seconds,
                 },
             )
-            return
-        try:
-            config = MachineConfig.from_dict(job["config"])
-            trace = self._trace_for(
-                str(job["trace_key"]), job.get("trace_sha256"), conn
-            )
-            with self._sim_gate:
-                started = time.perf_counter()
-                stats = paused_gc(
-                    lambda: Processor(
-                        config,
-                        trace,
-                        validate=bool(job["validate"]),
-                        warmup=int(job["warmup"]),
-                    ).run()
-                )
-                seconds = time.perf_counter() - started
-        except (ConnectionError, OSError, RemoteProtocolError):
-            raise  # transport trouble is connection-fatal, not a cell error
-        except Exception as exc:  # deterministic cell failure -> error frame
-            send_json(
-                conn,
-                {
-                    "type": "error",
-                    "job_id": job_id,
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
-            )
+
+    def _enact_fault(self) -> None:
+        """Consult the fault plan (site ``worker.job``) before one cell and
+        enact its decision; ``jobs_done`` counts cells, so a plan replays
+        the same fault sequence however the cells are chunked."""
+        if self.faults is None:
             return
         with self._lock:
-            self.jobs_done += 1
-        self._memoize_stats(job, stats)
-        send_json(
-            conn,
-            {
-                "type": "result",
-                "job_id": job_id,
-                "fingerprint": stats.fingerprint(),
-                "stats": stats.to_dict(),
-                "seconds": seconds,
-            },
-        )
+            jobs_done = self.jobs_done
+        event = self.faults.job_fault("worker.job", jobs_done)
+        if event is None:
+            return
+        if event.kind == "crash":
+            # Die like kill -9: no goodbye frame, no cleanup.  Only
+            # meaningful for subprocess fleets -- an in-process test agent
+            # would take its test down with it.
+            os._exit(CRASH_EXIT_CODE)
+        if event.kind == "drop":
+            # Chaos mode: die like a killed host -- no goodbye frame.
+            self.close()
+            raise ConnectionError("chaos drop")
+        if event.kind == "delay":
+            # Straggle: stall the cell past any deadline the dispatcher
+            # set.  close() interrupts the nap.
+            self._closed.wait(event.value)
 
-    def _memoized_stats(self, job: dict) -> SimStats | None:
-        """The locally cached result for a job's cell fingerprint, if any.
+    def _memoized_stats(self, cell: dict) -> SimStats | None:
+        """The locally cached result for a job cell's fingerprint, if any.
 
         The fingerprint the client sends IS the content address its own
         result cache uses, so the worker-side store speaks the same
@@ -719,7 +757,7 @@ class WorkerAgent:
         """
         if self.result_store is None:
             return None
-        fingerprint = job.get("fingerprint")
+        fingerprint = cell.get("fingerprint")
         if not isinstance(fingerprint, str):
             return None
         try:
@@ -727,16 +765,16 @@ class WorkerAgent:
         except ValueError:
             return None
 
-    def _memoize_stats(self, job: dict, stats: SimStats) -> None:
+    def _memoize_stats(self, cell: dict, stats: SimStats) -> None:
         if self.result_store is None:
             return
-        fingerprint = job.get("fingerprint")
+        fingerprint = cell.get("fingerprint")
         if not isinstance(fingerprint, str):
             return
         provenance = {
-            key: job[key]
+            key: cell[key]
             for key in ("experiment", "workload", "config_label", "n_insts", "warmup", "validate")
-            if key in job
+            if key in cell
         }
         try:
             self.result_store.save_stats(fingerprint, stats, provenance=provenance)
@@ -762,8 +800,11 @@ class WorkerAgent:
         """
         with self._lock:
             entry = self._decoded.get(key)
-        if entry is not None and (want_digest is None or entry[1] == want_digest):
-            return entry[0]
+            if entry is not None and (want_digest is None or entry[1] == want_digest):
+                # LRU: a hit moves the key to the young end, so the hot
+                # trace outlives colder ones at the next insertion.
+                self._decoded[key] = self._decoded.pop(key)
+                return entry[0]
         trace = None
         digest = None
         data: bytes | None = None
@@ -822,6 +863,7 @@ class WorkerAgent:
             if self.trace_cache is not None:
                 self.trace_cache.save(key, payload)
         with self._lock:
+            self._decoded.pop(key, None)  # a stale entry re-enters as youngest
             self._decoded[key] = (trace, digest)
             while len(self._decoded) > self._DECODED_SLOTS:
                 self._decoded.pop(next(iter(self._decoded)))
@@ -829,24 +871,30 @@ class WorkerAgent:
 
 
 def build_job_message(
-    request: RunRequest, job_id: object, key: str, digest: str | None
+    cells: Sequence[tuple[object, RunRequest]], key: str, digest: str | None
 ) -> dict:
-    """The wire ``job`` frame for one cell (shared by every dispatcher:
-    :class:`RemoteBackend` threads and the campaign daemon's asyncio
-    dispatch loops build byte-identical jobs)."""
-    job = {
+    """The wire ``job`` frame for a chunk of ``(job_id, request)`` cells
+    that share the trace ``key`` (one frame shape for every dispatcher:
+    :class:`RemoteBackend` threads send planner chunks, the campaign
+    daemon's asyncio dispatch loops send one-cell chunks)."""
+    job: dict = {
         "type": "job",
-        "job_id": job_id,
-        "fingerprint": request.fingerprint(),
-        "describe": request.describe(),
-        "experiment": request.experiment,
-        "workload": request.workload.name,
-        "config_label": request.config_label,
-        "config": request.config.to_dict(),
-        "n_insts": request.n_insts,
-        "warmup": request.warmup,
-        "validate": request.validate,
         "trace_key": key,
+        "cells": [
+            {
+                "job_id": job_id,
+                "fingerprint": request.fingerprint(),
+                "describe": request.describe(),
+                "experiment": request.experiment,
+                "workload": request.workload.name,
+                "config_label": request.config_label,
+                "config": request.config.to_dict(),
+                "n_insts": request.n_insts,
+                "warmup": request.warmup,
+                "validate": request.validate,
+            }
+            for job_id, request in cells
+        ],
     }
     if digest is not None:
         job["trace_sha256"] = digest
@@ -861,18 +909,23 @@ class RemoteBackend:
 
     ``workers`` is a sequence of ``"host:port"`` addresses.  Results are
     positionally aligned with the request list and bit-identical to
-    :class:`~repro.experiments.backends.SerialBackend`; scheduling is
-    longest-expected-job-first under the (persisted) session cost model,
-    and a worker lost mid-cell has its cell re-dispatched to a surviving
-    worker (``max_attempts`` bounds how often one cell may be struck by
-    worker loss before the sweep fails).
+    :class:`~repro.experiments.backends.SerialBackend`.  The unit of work
+    is a chunk of cells sharing one trace, planned by
+    :func:`~repro.experiments.batch.plan_chunks` at one-chunk-per-worker
+    parallelism and dispatched longest-expected-first under the
+    (persisted) session cost model: one job frame and at most one trace
+    shipment per chunk, one verified result per cell.  A worker lost
+    mid-chunk has the chunk's unanswered cells re-dispatched to a
+    surviving worker (``max_attempts`` bounds how often one cell may be
+    dispatched before the sweep fails).
 
-    ``job_deadline`` bounds how long one job may stay quiet before the
-    worker is declared a straggler and the cell re-dispatched (hedged
-    retry): a number is a fixed per-job deadline in seconds, ``None``
-    disables deadlines, and the default ``"auto"`` derives one from the
-    cost model via :func:`derive_deadline` -- generous multiples of
-    measured timings, and no deadline at all for never-measured configs.
+    ``job_deadline`` bounds how long the cell a worker is on may stay
+    quiet before the worker is declared a straggler and the chunk's
+    unanswered cells re-dispatched (hedged retry): a number is a fixed
+    per-cell deadline in seconds, ``None`` disables deadlines, and the
+    default ``"auto"`` derives one from the cost model via
+    :func:`derive_deadline` -- generous multiples of measured timings, and
+    no deadline at all for never-measured configs.
 
     ``faults`` injects a :class:`~repro.experiments.faults.FaultPlan` on
     the *sending* side (site ``client.trace``): outgoing trace bytes may
@@ -881,13 +934,13 @@ class RemoteBackend:
     figure.
 
     ``prefetch`` enables **trace-push pipelining**: dispatch is otherwise
-    stop-and-wait, so the first cell of each workload stalls its worker
-    for a full generate+encode while the connection sits idle.  With
-    prefetch on, the moment a slot ships a trace (proof the fleet is cold
-    for this client's traces) it starts encoding the next *different*
+    stop-and-wait per chunk, so the first cell of each workload stalls its
+    worker for a full generate+encode while the connection sits idle.
+    With prefetch on, the moment a slot ships a trace (proof the fleet is
+    cold for this client's traces) it starts encoding the next *different*
     workload's frame in a background thread -- one outstanding prefetch
-    per worker slot -- so the frame is ready behind the current cell's
-    simulation.  ``prefetch_hits`` counts ``need_trace`` requests answered
+    per worker slot -- so the frame is ready behind the current chunk's
+    simulations.  ``prefetch_hits`` counts ``need_trace`` requests answered
     from a prefetched frame; results are bit-identical either way (the
     prefetch fills the same memoized provider the demand path reads).
     """
@@ -896,7 +949,7 @@ class RemoteBackend:
         self,
         workers: Sequence[str],
         trace_cache: TraceCache | None = None,
-        cost_model: "CostModel | None" = None,
+        cost_model: CostModel | None = None,
         max_attempts: int = 3,
         connect_timeout: float = 10.0,
         compress: bool = True,
@@ -916,8 +969,6 @@ class RemoteBackend:
             raise ValueError("max_attempts must be >= 1")
         self.trace_cache = trace_cache
         if cost_model is None:
-            from repro.experiments.batch import session_cost_model
-
             cost_model = session_cost_model()
         self.cost_model = cost_model
         self.max_attempts = max_attempts
@@ -937,6 +988,8 @@ class RemoteBackend:
         self.stragglers = 0
         #: ``need_trace`` requests answered from a prefetched frame.
         self.prefetch_hits = 0
+        #: Trace frames this backend shipped (raw or zlib).
+        self.trace_sends = 0
 
     # -- connection ----------------------------------------------------------
 
@@ -967,15 +1020,11 @@ class RemoteBackend:
         if not requests:
             return []
 
-        cost = self.cost_model.cost
-        order = sorted(
-            range(len(requests)),
-            key=lambda i: (-cost(requests[i]), requests[i].workload.name, i),
-        )
         # Shared scheduler state, guarded by one condition variable.  A
-        # worker whose queue is empty but whose peers still have cells in
-        # flight must WAIT, not exit: a peer dying would re-queue its cell,
-        # and an exited thread could strand it (the last-cell-kill case).
+        # worker whose queue is empty but whose peers still have chunks in
+        # flight must WAIT, not exit: a peer dying would re-queue its
+        # unanswered cells, and an exited thread could strand them (the
+        # last-cell-kill case).
         state = threading.Condition()
         provider_lock = threading.Lock()
         #: key -> SHA-256 of the encoded trace, once this run knows it
@@ -985,38 +1034,41 @@ class RemoteBackend:
         #: slot's prefetch already claimed (both guarded by provider_lock).
         prefetched: set[str] = set()
         prefetch_claimed: set[str] = set()
-        queue: deque[int] = deque(order)
+        queue: deque[list[int]] = deque(
+            indices
+            for _, indices in plan_chunks(requests, self.cost_model, len(self.addresses))
+        )
         attempts = [0] * len(requests)
         in_flight = 0
         completed = 0
         failures: list[BaseException] = []
         worker_errors: dict[str, str] = {}
 
-        def next_index() -> int | None:
+        def next_chunk() -> list[int] | None:
             nonlocal in_flight
             with state:
                 while True:
                     if failures:
                         return None
                     if queue:
-                        index = queue.popleft()
-                        attempts[index] += 1
+                        chunk = queue.popleft()
+                        for index in chunk:
+                            attempts[index] += 1
                         in_flight += 1
-                        return index
+                        return chunk
                     if completed == len(requests) or in_flight == 0:
                         return None
                     state.wait()
 
         def prefetch_candidate(current_key: str) -> RunRequest | None:
-            """The queued request whose trace frame a prefetch should build
+            """The queued chunk whose trace frame a prefetch should build
             next: the frontmost one for a *different*, not-yet-encoded, not
             already claimed workload (the current key is excluded -- its
             frame is being shipped right now)."""
             with state:
-                pending = list(queue)
+                pending = [requests[chunk[0]] for chunk in queue]
             with provider_lock:
-                for i in pending:
-                    request = requests[i]
+                for request in pending:
                     key = request_key(request)
                     if key == current_key or key in prefetch_claimed:
                         continue
@@ -1069,61 +1121,67 @@ class RemoteBackend:
 
             try:
                 while True:
-                    index = next_index()
-                    if index is None:
+                    chunk = next_chunk()
+                    if chunk is None:
                         return
                     try:
-                        self._run_cell(
-                            conn, address, requests[index], index, results,
+                        self._run_chunk(
+                            conn, address, requests, chunk, results,
                             provider, provider_lock, digests, progress, compress,
                             prefetched, on_trace_shipped,
                         )
                         with state:
                             in_flight -= 1
-                            completed += 1
+                            completed += len(chunk)
                             state.notify_all()
                     except OSError as exc:
-                        # Worker lost mid-cell: re-queue at the front (it
-                        # was the longest remaining job) and retire this
-                        # worker.  A waiting peer picks it up.
+                        # Worker lost (or straggling) mid-chunk: its answered
+                        # cells stand, the rest re-queue at the front (the
+                        # chunk was the costliest remaining work) and this
+                        # worker retires.  A waiting peer picks them up.
                         with state:
                             in_flight -= 1
-                            worker_errors[address] = f"lost mid-cell: {exc}"
-                            if results[index] is None:
-                                if attempts[index] >= self.max_attempts:
-                                    failures.append(
-                                        CellExecutionError(
-                                            f"{requests[index].describe()}: worker "
-                                            f"lost {attempts[index]} times "
-                                            f"(last: {address}: {exc})"
-                                        )
+                            worker_errors[address] = f"lost mid-chunk: {exc}"
+                            remainder = [i for i in chunk if results[i] is None]
+                            completed += len(chunk) - len(remainder)
+                            struck_out = [
+                                i for i in remainder if attempts[i] >= self.max_attempts
+                            ]
+                            if struck_out:
+                                index = struck_out[0]
+                                failures.append(
+                                    CellExecutionError(
+                                        f"{requests[index].describe()}: worker "
+                                        f"lost {attempts[index]} times "
+                                        f"(last: {address}: {exc})"
                                     )
-                                else:
-                                    queue.appendleft(index)
-                            else:
-                                completed += 1
+                                )
+                            elif remainder:
+                                queue.appendleft(remainder)
                             state.notify_all()
                         return
                     except Exception as exc:
                         # Everything that is not worker loss -- cell
                         # failures, protocol violations, and any schema
-                        # skew _run_cell's parsing trips over (KeyError,
+                        # skew _run_chunk's parsing trips over (KeyError,
                         # TypeError, ...) -- is deterministic: retrying on
                         # another worker would reproduce it.  Fail the
-                        # sweep loudly, and ALWAYS under the condition
-                        # variable: a thread dying without decrementing
-                        # in_flight would leave waiting peers asleep
-                        # forever.
+                        # sweep loudly, naming the first unanswered cell
+                        # unless the error already names its own, and
+                        # ALWAYS under the condition variable: a thread
+                        # dying without decrementing in_flight would leave
+                        # waiting peers asleep forever.
                         with state:
                             in_flight -= 1
-                            failures.append(
-                                exc
-                                if isinstance(exc, CellExecutionError)
-                                else CellExecutionError(
-                                    f"{requests[index].describe()} on {address}: "
+                            if not isinstance(exc, CellExecutionError):
+                                culprit = next(
+                                    (i for i in chunk if results[i] is None), chunk[0]
+                                )
+                                exc = CellExecutionError(
+                                    f"{requests[culprit].describe()} on {address}: "
                                     f"{type(exc).__name__}: {exc}"
                                 )
-                            )
+                            failures.append(exc)
                             state.notify_all()
                         return
             finally:
@@ -1153,22 +1211,29 @@ class RemoteBackend:
             )
         return results  # type: ignore[return-value]
 
-    def _run_cell(
+    def _run_chunk(
         self,
         conn: socket.socket,
         address: str,
-        request: RunRequest,
-        index: int,
+        requests: list[RunRequest],
+        chunk: list[int],
         results: list[SimStats | None],
         provider: TraceProvider,
         provider_lock: threading.Lock,
         digests: dict[str, str],
         progress: ProgressFn | None,
-        compress: bool = False,
-        prefetched: set[str] | None = None,
-        on_trace_shipped: Callable[[str], None] | None = None,
+        compress: bool,
+        prefetched: set[str],
+        on_trace_shipped: Callable[[str], None],
     ) -> None:
-        key = request_key(request)
+        """Send one chunk as one job frame and collect one answer per cell.
+
+        Each verified result lands in ``results`` as it arrives, so a
+        worker lost mid-chunk leaves exactly the unanswered cells for the
+        scheduler to re-queue.
+        """
+        first = requests[chunk[0]]
+        key = request_key(first)
         # Pin the trace's content whenever this run already knows it
         # (bytes memoized or trace-cached locally): a worker whose cached
         # entry disagrees then refetches instead of simulating the wrong
@@ -1176,27 +1241,30 @@ class RemoteBackend:
         # forfeit the warm-worker path where the client ships nothing.
         with provider_lock:
             digest = digests.get(key)
-            if digest is None and provider.has_encoded(request.workload, request.n_insts):
+            if digest is None and provider.has_encoded(first.workload, first.n_insts):
                 digest = hashlib.sha256(
-                    provider.encoded(request.workload, request.n_insts)
+                    provider.encoded(first.workload, first.n_insts)
                 ).hexdigest()
                 digests[key] = digest
-        # The per-job execution deadline rides on the socket: any recv in
-        # this exchange left waiting past it raises socket.timeout, an
-        # OSError, which the scheduler's worker-loss path converts into a
-        # front-of-queue re-dispatch -- exactly the hedged-retry semantics
-        # a straggler needs.
-        deadline = derive_deadline(self.cost_model, request, self.job_deadline)
-        conn.settimeout(deadline)
-        send_json(conn, build_job_message(request, index, key, digest))
-        while True:
+        send_json(conn, build_job_message([(i, requests[i]) for i in chunk], key, digest))
+        pending = list(chunk)
+        while pending:
+            # The execution deadline rides on the socket, re-armed for the
+            # cell the worker is on now (it answers in order): a recv left
+            # waiting past it raises socket.timeout, an OSError, which the
+            # scheduler's worker-loss path converts into a front-of-queue
+            # re-dispatch of the unanswered cells -- exactly the
+            # hedged-retry semantics a straggler needs.
+            current = requests[pending[0]]
+            deadline = derive_deadline(self.cost_model, current, self.job_deadline)
+            conn.settimeout(deadline)
             try:
                 message = recv_json(conn)
             except socket.timeout:
                 self.stragglers += 1
                 raise TimeoutError(
                     f"job deadline {deadline:.1f}s exceeded by {address} "
-                    f"({request.describe()}); re-dispatching"
+                    f"({current.describe()}); re-dispatching"
                 ) from None
             kind = message.get("type")
             if kind == "need_trace":
@@ -1204,9 +1272,9 @@ class RemoteBackend:
                 # the provider single-writer while both worker threads may
                 # miss on the same workload at once.
                 with provider_lock:
-                    data = provider.encoded(request.workload, request.n_insts)
+                    data = provider.encoded(first.workload, first.n_insts)
                     digests.setdefault(key, hashlib.sha256(data).hexdigest())
-                    if prefetched is not None and key in prefetched:
+                    if key in prefetched:
                         self.prefetch_hits += 1
                 if self.faults is not None:
                     mutated = self.faults.mutate_trace("client.trace", data)
@@ -1214,10 +1282,21 @@ class RemoteBackend:
                         data = mutated
                 if compress:
                     self.compressed_sends += 1
+                self.trace_sends += 1
                 send_trace_frame(conn, data, compress)
-                if on_trace_shipped is not None:
-                    on_trace_shipped(key)
-            elif kind == "result":
+                on_trace_shipped(key)
+            elif kind in ("result", "error"):
+                index = message.get("job_id")
+                if index not in pending:
+                    raise RemoteProtocolError(
+                        f"{address} answered job {index!r}, which is not "
+                        "pending in this chunk"
+                    )
+                request = requests[index]
+                if kind == "error":
+                    raise CellExecutionError(
+                        f"{request.describe()} on {address}: {message.get('message')}"
+                    )
                 stats = SimStats.from_dict(message["stats"])
                 if stats.fingerprint() != message.get("fingerprint"):
                     raise CellExecutionError(
@@ -1228,13 +1307,9 @@ class RemoteBackend:
                     request.config, request.n_insts, float(message.get("seconds", 0.0))
                 )
                 results[index] = stats
+                pending.remove(index)
                 if progress is not None:
                     progress(f"{request.describe()} [done @{address}]")
-                return
-            elif kind == "error":
-                raise CellExecutionError(
-                    f"{request.describe()} on {address}: {message.get('message')}"
-                )
             else:
                 raise RemoteProtocolError(f"unexpected frame type {kind!r}")
 

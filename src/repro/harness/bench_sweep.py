@@ -39,7 +39,8 @@ the payload are the amortization proof.
       "workloads": [...], "configs": [...], "n_cells": 50,
       "cells": [{"workload": ..., "config": ..., "stats_fingerprint": ...}],
       "modes": {"serial": {"wall_seconds": ..., "cells_per_sec": ...,
-                           "trace_generations": ...}, ...},
+                           "trace_generations": ...}, ...,
+                "remote": {..., "trace_sends": ...}},
       "trace_generation": {"n_insts": ..., "workloads": [...],
                            "insts_per_sec": ...},
       "equivalence": {"identical": true, "diverged": []},
@@ -206,6 +207,10 @@ def run_sweep_bench(
                 "cells_per_sec": len(requests) / best if best else 0.0,
                 "trace_generations": generations,
             }
+            if mode == "remote":
+                # Additive: trace frames the client shipped over all repeats
+                # (one per (workload, worker) pair a cold fleet needs).
+                mode_rows[mode]["trace_sends"] = backend.trace_sends
 
     if progress is not None:
         progress("bench-sweep: trace generation")
@@ -277,6 +282,9 @@ def render_sweep_bench(payload: dict) -> str:
             f"{mode:14s} {row['wall_seconds']:8.2f} {row['cells_per_sec']:9.2f} "
             f"{row['trace_generations']:11d} {ratio:9.2f}x"
         )
+    remote = payload["modes"].get("remote", {})
+    if "trace_sends" in remote:
+        lines.append(f"remote trace frames shipped: {remote['trace_sends']}")
     generation = payload.get("trace_generation")
     if generation:
         lines.append(

@@ -250,7 +250,7 @@ class TestDamagedTraceFrames:
                     {"type": "hello", "protocol": PROTOCOL_VERSION, "compress": ["zlib"]},
                 )
                 assert recv_json(conn)["type"] == "hello"
-                send_json(conn, build_job_message(cell, 0, key, digest))
+                send_json(conn, build_job_message([(0, cell)], key, digest))
                 assert recv_json(conn)["type"] == "need_trace"
                 send_frame(conn, FRAME_ZTRACE, b"certainly not zlib")
                 # The session survives: the worker asks again in place.

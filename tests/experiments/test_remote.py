@@ -464,3 +464,135 @@ class TestAddressHardening:
                 resolve_worker_fleet(",,,", stack)
             with pytest.raises(ValueError, match="non-numeric port"):
                 resolve_worker_fleet("a:1,malformed:x", stack)
+
+
+class TestChunkedDispatch:
+    """One job frame per trace-sharing chunk, one answer per cell: faults
+    mid-chunk cost only the unanswered cells."""
+
+    @staticmethod
+    def record_jobs(monkeypatch) -> list[list[int]]:
+        """Spy on the job frames the client builds (job ids per frame)."""
+        from repro.experiments import remote
+
+        frames: list[list[int]] = []
+        build = remote.build_job_message
+
+        def spy(cells, key, digest):
+            frames.append([job_id for job_id, _ in cells])
+            return build(cells, key, digest)
+
+        monkeypatch.setattr(remote, "build_job_message", spy)
+        return frames
+
+    def test_one_job_frame_per_workload(self, monkeypatch, requests, serial_fingerprints):
+        frames = self.record_jobs(monkeypatch)
+        with WorkerAgent() as agent:
+            stats = RemoteBackend([agent.address]).run(requests)
+        assert [s.fingerprint() for s in stats] == serial_fingerprints
+        assert sorted(frames) == [[0, 1, 2], [3, 4, 5]]
+
+    def test_drop_inside_chunk_redispatches_only_unanswered_cells(
+        self, monkeypatch, requests, serial_fingerprints
+    ):
+        frames = self.record_jobs(monkeypatch)
+        done_at: list[str] = []
+        with WorkerAgent(drop_after=1) as chaotic, WorkerAgent() as healthy:
+            stats = RemoteBackend([chaotic.address, healthy.address]).run(
+                requests, progress=done_at.append
+            )
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            # The chaotic agent answered the first cell of its chunk, then
+            # died; the other two cells ran once more, nothing else did.
+            assert chaotic.jobs_done == 1
+            assert healthy.jobs_done == len(requests) - 1
+        assert len(done_at) == len(requests)
+        assert len(frames) == 3
+        struck = next(frame for frame in frames[:2] if frame[1:] == frames[2])
+        assert sum(f"@{chaotic.address}]" in line for line in done_at) == 1
+        assert len(struck) == 3
+
+    def test_max_attempts_fails_a_cell_struck_too_often(self, requests):
+        with WorkerAgent(drop_after=1) as chaotic, WorkerAgent() as healthy:
+            backend = RemoteBackend([chaotic.address, healthy.address], max_attempts=1)
+            with pytest.raises(CellExecutionError, match="worker lost 1 times"):
+                backend.run(requests)
+
+    def test_deadline_missed_mid_chunk_redispatches_remainder(
+        self, requests, serial_fingerprints
+    ):
+        from repro.experiments import FaultPlan
+        from repro.experiments.faults import FaultEvent
+
+        class StallSecondCell(FaultPlan):
+            def job_fault(self, site, jobs_done=0):
+                if jobs_done == 1:
+                    return FaultEvent("delay", site, jobs_done, value=30.0)
+                return None
+
+        with WorkerAgent(faults=StallSecondCell()) as slow, WorkerAgent() as healthy:
+            backend = RemoteBackend([slow.address, healthy.address], job_deadline=1.0)
+            stats = backend.run(requests)
+            assert [s.fingerprint() for s in stats] == serial_fingerprints
+            assert backend.stragglers == 1
+            assert slow.jobs_done == 1
+            assert healthy.jobs_done == len(requests) - 1
+
+    def test_error_mid_chunk_names_the_failing_cell(self):
+        configs = dict(list(fig5_configs().items())[:3])
+        labels = list(configs)
+        configs[labels[1]] = configs[labels[1]].derive("bad", watchdog_cycles=0)
+        cells = matrix_spec("chunked", configs, ["gcc"], n_insts=INSTS).cells()
+        with WorkerAgent() as agent:
+            with pytest.raises(CellExecutionError) as failure:
+                RemoteBackend([agent.address]).run(cells)
+        assert str(failure.value).startswith(f"{cells[1].describe()} on ")
+
+    def test_each_trace_shipped_once_per_worker(self):
+        cells = small_spec(workloads=("gcc", "vortex", "mcf", "bzip2")).cells()
+        done_at: list[str] = []
+        with WorkerAgent() as a, WorkerAgent() as b:
+            backend = RemoteBackend([a.address, b.address])
+            backend.run(cells, progress=done_at.append)
+            by_describe = {cell.describe(): cell for cell in cells}
+            for agent in (a, b):
+                served = {
+                    by_describe[line.rpartition(" [done @")[0]].workload.name
+                    for line in done_at
+                    if line.endswith(f"@{agent.address}]")
+                }
+                assert agent.trace_misses == len(served)
+            assert backend.trace_sends == a.trace_misses + b.trace_misses == 4
+
+    def test_job_frame_without_cells_is_a_protocol_error(self):
+        with WorkerAgent() as agent:
+            host, port = parse_worker(agent.address)
+            with socket.create_connection((host, port)) as conn:
+                send_json(conn, {"type": "hello", "protocol": PROTOCOL_VERSION})
+                assert recv_json(conn)["type"] == "hello"
+                send_json(conn, {"type": "job", "job_id": 0, "trace_key": "k"})
+                with pytest.raises((ConnectionError, RemoteProtocolError)):
+                    recv_json(conn)
+
+
+class TestDecodedTraceMemo:
+    def test_rehit_trace_survives_the_next_insertion(self, tmp_path):
+        from repro.isa.codec import encode_trace
+        from repro.workloads.spec2000 import spec_profile
+        from repro.workloads.synthetic import generate_trace
+
+        cache = TraceCache(tmp_path)
+        for name in ("gcc", "vortex", "mcf"):
+            cache.save(name, encode_trace(generate_trace(spec_profile(name), INSTS)))
+        agent = WorkerAgent(trace_cache=cache)
+        try:
+            # No connection: every key is answered from the disk cache.
+            hot = agent._trace_for("gcc", None, None)
+            agent._trace_for("vortex", None, None)
+            assert agent._trace_for("gcc", None, None) is hot  # re-hit
+            agent._trace_for("mcf", None, None)  # evicts one of two slots
+            assert list(agent._decoded) == ["gcc", "mcf"]
+            assert agent._trace_for("gcc", None, None) is hot
+            assert agent.trace_misses == 0
+        finally:
+            agent.close()

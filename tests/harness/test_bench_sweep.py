@@ -114,6 +114,25 @@ class TestRemoteMode:
         assert "remote" in rendered
         assert "bit-identical" in rendered
 
+    def test_remote_mode_records_shipped_trace_frames(self):
+        from repro.experiments import WorkerAgent
+
+        with WorkerAgent() as a, WorkerAgent() as b:
+            payload = run_sweep_bench(
+                workloads=["gcc", "vortex"],
+                n_insts=1200,
+                jobs=2,
+                repeats=1,
+                quick=True,
+                remote_workers=[a.address, b.address],
+            )
+            misses = a.trace_misses + b.trace_misses
+        # One frame per (workload, worker) pair the cold fleet needed.
+        assert payload["modes"]["remote"]["trace_sends"] == misses
+        assert 2 <= misses <= 4
+        assert "trace_sends" not in payload["modes"]["serial"]
+        assert "trace frames" in render_sweep_bench(payload)
+
     def test_without_workers_no_remote_mode(self, tiny_payload):
         assert "remote" not in tiny_payload["modes"]
         assert "remote_vs_serial" not in tiny_payload["speedups"]
