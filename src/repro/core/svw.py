@@ -34,10 +34,13 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.ssbf import SSBFBase, make_ssbf
 from repro.core.ssn import SSNState
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.isa.coltrace import HotColumns
 
 
 def compose_svw(*svws: int) -> int:
@@ -146,19 +149,29 @@ class SVWEngine:
             self.ssbf.update(addr, size, ssn)
 
     def probe_columns(
-        self, addrs: "Sequence[int]", sizes: "Sequence[int]"
+        self, hot: "HotColumns", memo: "dict[tuple, object]"
     ) -> tuple[list[int], list[int]] | None:
         """Trace-wide SSBF probe-index columns for the processor's inlined
         probe-and-update fast path, or ``None`` when no such fast path is
         sound: the filter is disabled (the scalar methods then keep their
         always-re-execute, count-nothing contract) or the organization has
-        no flat single-table form (dual/infinite/banked)."""
+        no flat single-table form (dual/infinite/banked).
+
+        ``hot`` is the trace's column view and ``memo`` its per-trace memo
+        (:attr:`~repro.isa.coltrace.ColumnTrace.derived`): the columns are
+        computed once per trace and SSBF geometry and shared, read-only, by
+        every configuration replaying the trace."""
         if not self.config.enabled:
             return None
         probe = getattr(self.ssbf, "probe_columns", None)
         if probe is None:
             return None
-        return probe(addrs, sizes)
+        config = self.config
+        key = ("ssbf_probes", config.ssbf_kind, config.ssbf_entries, config.ssbf_granularity)
+        columns = memo.get(key)
+        if columns is None:
+            columns = memo[key] = probe(hot.addr, hot.size)
+        return columns  # type: ignore[return-value]
 
     def record_invalidation(self, line_addr: int, line_bytes: int = 64) -> None:
         """A coherence invalidation (NLQ-SM): pretend an asynchronous store

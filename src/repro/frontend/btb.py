@@ -9,6 +9,8 @@ prediction was right.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 
 class BTB:
     """Tagged set-associative target buffer; stores only tags (targets are
@@ -23,8 +25,9 @@ class BTB:
         if self._sets & (self._sets - 1):
             raise ValueError("set count must be a power of two")
         self._assoc = assoc
-        # Each set is an LRU-ordered list of tags (most recent last).
-        self._table: list[list[int]] = [[] for _ in range(self._sets)]
+        # Each set is an LRU-ordered list of tags (most recent last),
+        # allocated on first touch.
+        self._table: defaultdict[int, list[int]] = defaultdict(list)
         self.lookups = 0
         self.misses = 0
 

@@ -147,6 +147,7 @@ class ColumnTrace:
         "_meta",
         "_hot",
         "_insts",
+        "derived",
     )
 
     def __init__(
@@ -180,6 +181,11 @@ class ColumnTrace:
         self._meta: TraceMeta | None = None
         self._hot: HotColumns | None = None
         self._insts: list[DynInst] | None = None
+        #: Memo of per-seq precomputes that depend on the trace *and* on a
+        #: machine geometry (SSBF probe indices, L1D bank bits), keyed by
+        #: the geometry and filled by their consumers on first use, so
+        #: every configuration replaying this trace shares one copy.
+        self.derived: dict[tuple, object] = {}
 
     # -- construction --------------------------------------------------------
 

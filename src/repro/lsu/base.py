@@ -5,11 +5,17 @@ store index); LSU variants implement *visibility*: which older stores a
 load can see at execution time.  Getting visibility wrong is never fatal --
 it produces a stale value that the re-execution machinery must catch,
 which is precisely the speculation the paper studies.
+
+The processor owns its LSU, so the LSU's back-reference is a weak proxy:
+the pair forms no reference cycle, and a finished processor (caches,
+tables, in-flight state and all) is freed by reference counting the
+moment its last reference drops, without waiting for a cyclic-GC sweep.
 """
 
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import TYPE_CHECKING, Callable
 
 from repro.pipeline.inflight import InFlight
@@ -34,7 +40,7 @@ class LoadStoreUnit(abc.ABC):
     __slots__ = ("proc",)
 
     def __init__(self, proc: "Processor") -> None:
-        self.proc = proc
+        self.proc = weakref.proxy(proc)
 
     # -- dispatch hooks ---------------------------------------------------------
 
@@ -84,7 +90,7 @@ class LoadStoreUnit(abc.ABC):
         return None
 
     def _sq_data_blocker(self, load: InFlight) -> InFlight | None:
-        """Shared implementation of :meth:`load_must_wait` for CAM-SQ LSUs."""
+        """:meth:`load_must_wait` for CAM-SQ LSUs (variants alias it)."""
         proc = self.proc
         load_seq = load.seq
         for word in proc.meta.words[load_seq]:

@@ -25,8 +25,9 @@ class ConventionalLSU(LoadStoreUnit):
         # Issued speculative loads indexed by word, for the LQ search.
         self._loads_by_word: dict[int, list[InFlight]] = {}
 
-    def load_must_wait(self, load: InFlight) -> InFlight | None:
-        return self._sq_data_blocker(load)
+    # An alias, not a wrapper: the processor binds this hook once and
+    # calls it on every load-issue attempt.
+    load_must_wait = LoadStoreUnit._sq_data_blocker
 
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done

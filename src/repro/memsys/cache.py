@@ -5,11 +5,17 @@ Values live in :class:`~repro.memsys.memimg.MemoryImage`; caches model
 write-allocate.  The L1D is bank-interleaved by line address; bank conflict
 accounting lives in the pipeline's port arbitration, which asks
 :meth:`CacheConfig.bank_of` where an access must go.
+
+Sets are allocated on first touch.  Building all of them up front (4096
+for the L2) used to dominate the cost of constructing a processor, and a
+cell touches only part of them: a 20k-instruction SPEC cell touches
+23-75 % of the L2's sets.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass
 
 
@@ -67,7 +73,8 @@ class Cache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: list[dict[int, int]] = [dict() for _ in range(config.sets)]
+        #: Set index -> {line: LRU stamp}; a set exists once touched.
+        self._sets: defaultdict[int, dict[int, int]] = defaultdict(dict)
         self._stamp = 0
         # Geometry cached flat: the access path runs once per simulated
         # memory operation and must not chase config attributes.
@@ -77,14 +84,16 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
-    def _locate(self, addr: int) -> tuple[dict[int, int], int]:
+    def _locate(self, addr: int) -> tuple[dict[int, int] | None, int]:
+        """The set holding ``addr`` (None if never touched) and its line;
+        unlike :meth:`access`, locating allocates nothing."""
         line = addr // self._line_bytes
-        return self._sets[line & self._set_mask], line
+        return self._sets.get(line & self._set_mask), line
 
     def probe(self, addr: int) -> bool:
         """Check residency without changing replacement state."""
         ways, line = self._locate(addr)
-        return line in ways
+        return ways is not None and line in ways
 
     def access(self, addr: int) -> bool:
         """Access ``addr``: update LRU, fill on miss.  Returns hit."""
@@ -105,14 +114,13 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` (coherence).  Returns present."""
         ways, line = self._locate(addr)
-        if line in ways:
+        if ways is not None and line in ways:
             del ways[line]
             return True
         return False
 
     def flash_clear(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
 
     @property
     def accesses(self) -> int:

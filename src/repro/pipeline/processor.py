@@ -49,6 +49,22 @@ golden-equivalence suite enforce this):
   horizon of the ROB head, a re-execution port release, a front-end
   redirect, an invalidation tick, or the watchdog), replicating the
   stall-counter increments the skipped cycles would have made.
+
+Lifecycle notes.  A sweep builds one processor per cell, so building and
+freeing one must cost little beyond the trace it replays:
+
+- nothing a processor owns refers back to it strongly (the LSU holds a
+  :func:`weakref.proxy`), so a finished processor is freed by reference
+  counting the moment its last reference drops -- no cyclic garbage for a
+  later full collection to find, and ``run``'s GC pause costs nothing to
+  undo (``tests/pipeline/test_lifecycle.py`` pins this for every figure
+  machine);
+- cache and BTB sets are allocated on first touch rather than up front
+  (a 20k-instruction SPEC cell touches 23-75 % of the L2's 4096 sets and
+  under 40 % of the BTB's 1024);
+- the geometry-dependent per-seq columns (SSBF probe indices, L1D bank
+  bits) are memoized in the trace's ``derived`` map, keyed by geometry,
+  and shared read-only by every configuration replaying the trace.
 """
 
 from __future__ import annotations
@@ -198,6 +214,8 @@ class Processor:
         "_load_must_wait",
         "_execute_load",
         "_load_access",
+        # the LSU's back-reference is a weak proxy to this processor
+        "__weakref__",
     )
 
     def __init__(
@@ -368,22 +386,27 @@ class Processor:
         self._total_issue = sum(self._slot_template)
         # Column kernels: per-seq precomputes over the flat trace columns.
         # Addresses are trace-static, so the SSBF probe indices and the
-        # L1D bank bits are pure functions of seq -- computed once here
-        # (vectorized) and indexed from the re-execution and issue loops.
-        # The probe columns exist only where the engine offers them (an
-        # enabled single-table SSBF); every other organization keeps the
-        # engine's method path.
+        # L1D bank bits are pure functions of seq and of a geometry --
+        # computed once per trace and geometry (vectorized, memoized in
+        # ``trace.derived``) and indexed from the re-execution and issue
+        # loops.  The probe columns exist only where the engine offers
+        # them (an enabled single-table SSBF); every other organization
+        # keeps the engine's method path.
         self._ssbf_i1: list[int] | None = None
         self._ssbf_i2: list[int] | None = None
         if self.svw is not None:
-            probes = self.svw.probe_columns(hot.addr, hot.size)
+            probes = self.svw.probe_columns(hot, trace.derived)
             if probes is not None:
                 self._ssbf_i1, self._ssbf_i2 = probes
         l1d = config.hierarchy.l1d
-        addr = np.asarray(hot.addr, dtype=np.int64)
-        self._bank_bits: list[int] = np.left_shift(
-            1, (addr // l1d.line_bytes) & (l1d.banks - 1)
-        ).tolist()
+        key = ("l1d_bank_bits", l1d.line_bytes, l1d.banks)
+        bank_bits = trace.derived.get(key)
+        if bank_bits is None:
+            addr = np.asarray(hot.addr, dtype=np.int64)
+            bank_bits = trace.derived[key] = np.left_shift(
+                1, (addr // l1d.line_bytes) & (l1d.banks - 1)
+            ).tolist()
+        self._bank_bits: list[int] = bank_bits  # type: ignore[assignment]
         #: Exact count of squashed-but-still-heaped ready entries.  While
         #: it is zero and the cycle's issue bandwidth is spent, the select
         #: loop can stop popping: every further pop in the naive loop
@@ -491,8 +514,9 @@ class Processor:
         The cyclic-garbage collector is suspended for the duration: the
         loop allocates heavily (one :class:`InFlight` plus several tuples
         per dispatched instruction) but creates no reference cycles --
-        every container is emptied explicitly as entries retire -- so the
-        periodic generation-0 scans are pure overhead.
+        every container is emptied explicitly as entries retire, and the
+        processor itself is acyclic -- so the periodic generation-0 scans
+        are pure overhead.
         """
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
@@ -1197,7 +1221,7 @@ class Processor:
             # The in-flight entry is the instruction's *view*: the static
             # facts the stage loops and LSU hooks read are copied out of
             # the flat columns here, once per dispatch.
-            entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg, cycle)
+            entry = InFlight(fetch_seq, m_pc[fetch_seq], kind, dst_reg)
             if kind == KIND_LOAD or kind == KIND_STORE:
                 entry.addr = m_addr[fetch_seq]
                 entry.size = m_size[fetch_seq]

@@ -92,3 +92,30 @@ class TestBTB:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             BTB(10, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("entries,assoc", [(64, 2), (32, 4), (16, 1)])
+    def test_lazy_sets_match_eager_reference(self, seed, entries, assoc):
+        """Sets allocated on first touch behave exactly like an eagerly
+        allocated table: same hits and misses, same victims."""
+        btb = BTB(entries, assoc)
+        sets = entries // assoc
+        eager: list[list[int]] = [[] for _ in range(sets)]
+        rng = random.Random(seed)
+        pcs = [rng.randrange(1 << 16) * 4 for _ in range(3 * entries)]
+        hits = 0
+        for _ in range(2000):
+            pc = rng.choice(pcs)
+            ways, tag = eager[(pc >> 2) % sets], pc >> 2
+            hit = tag in ways
+            if hit:
+                ways.remove(tag)
+                hits += 1
+            elif len(ways) >= assoc:
+                ways.pop(0)
+            ways.append(tag)
+            assert btb.lookup_and_update(pc) == hit
+            assert {i: w for i, w in btb._table.items() if w} == {
+                i: w for i, w in enumerate(eager) if w
+            }
+        assert btb.lookups - btb.misses == hits

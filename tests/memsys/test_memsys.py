@@ -1,5 +1,7 @@
 """Tests for the memory image, caches, and hierarchy."""
 
+import random
+
 import pytest
 
 from repro.memsys.cache import Cache, CacheConfig
@@ -91,6 +93,103 @@ class TestCache:
         cache.access(0x0)
         assert cache.accesses == 2
         assert cache.miss_rate == pytest.approx(0.5)
+
+
+class EagerCache:
+    """Reference model: every set allocated up front, LRU by stamp."""
+
+    def __init__(self, config: CacheConfig) -> None:
+        self.sets = [dict() for _ in range(config.sets)]
+        self.line_bytes = config.line_bytes
+        self.assoc = config.assoc
+        self.stamp = 0
+        self.hits = self.misses = 0
+
+    def _ways(self, addr):
+        line = addr // self.line_bytes
+        return self.sets[line % len(self.sets)], line
+
+    def access(self, addr):
+        """Returns (hit, evicted line or None)."""
+        ways, line = self._ways(addr)
+        self.stamp += 1
+        if line in ways:
+            ways[line] = self.stamp
+            self.hits += 1
+            return True, None
+        self.misses += 1
+        victim = None
+        if len(ways) >= self.assoc:
+            victim = min(ways, key=ways.get)
+            del ways[victim]
+        ways[line] = self.stamp
+        return False, victim
+
+    def probe(self, addr):
+        ways, line = self._ways(addr)
+        return line in ways
+
+    def invalidate(self, addr):
+        ways, line = self._ways(addr)
+        return ways.pop(line, None) is not None
+
+    def flash_clear(self):
+        for ways in self.sets:
+            ways.clear()
+
+
+class TestLazySets:
+    """Sets allocated on first touch behave exactly like eager ones."""
+
+    @staticmethod
+    def _resident(cache: Cache) -> dict[int, dict[int, int]]:
+        return {index: dict(ways) for index, ways in cache._sets.items() if ways}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("assoc", [1, 2, 8])
+    def test_matches_eager_reference(self, seed, assoc):
+        config = CacheConfig("t", 16 * assoc * 64, assoc)
+        cache, eager = Cache(config), EagerCache(config)
+        rng = random.Random(seed)
+        lines = [rng.randrange(1 << 20) * 64 for _ in range(4 * 16 * assoc)]
+        for _ in range(3000):
+            addr = rng.choice(lines) + rng.randrange(64)
+            op = rng.random()
+            if op < 0.8:
+                before = self._resident(cache)
+                hit, victim = eager.access(addr)
+                assert cache.access(addr) == hit
+                after = self._resident(cache)
+                evicted = {
+                    line
+                    for index, ways in before.items()
+                    for line in ways
+                    if line not in after.get(index, {})
+                }
+                assert evicted == (set() if victim is None else {victim})
+            elif op < 0.9:
+                assert cache.probe(addr) == eager.probe(addr)
+            elif op < 0.99:
+                assert cache.invalidate(addr) == eager.invalidate(addr)
+            else:
+                cache.flash_clear()
+                eager.flash_clear()
+            assert self._resident(cache) == {
+                index: ways for index, ways in enumerate(eager.sets) if ways
+            }
+        assert (cache.hits, cache.misses) == (eager.hits, eager.misses)
+
+    def test_sets_allocated_on_touch_only(self):
+        cache = Cache(CacheConfig("L2", 2 * 1024 * 1024, 8))
+        assert len(cache._sets) == 0
+        assert not cache.probe(0x4000)
+        assert not cache.invalidate(0x4000)
+        assert len(cache._sets) == 0
+        cache.access(0x4000)
+        assert len(cache._sets) == 1
+        cache.flash_clear()
+        assert len(cache._sets) == 0
+        assert not cache.probe(0x4000)
 
 
 class TestHierarchy:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.svw import SVWConfig
+from repro.lsu.base import LoadStoreUnit
 from repro.pipeline.config import LSUKind, RexMode, eight_wide, four_wide
 from repro.pipeline.processor import Processor
 from repro.workloads.kernels import kernel_trace
@@ -54,6 +55,18 @@ class TestBaseline:
         stats = Processor(eight_wide(), spill_fill_trace).run(max_cycles=100)
         assert stats.cycles <= 100
         assert stats.committed < len(spill_fill_trace)
+
+
+class TestHookBinding:
+    def test_load_must_wait_binds_the_cam_blocker_directly(self, spill_fill_trace):
+        """CAM-SQ variants alias ``load_must_wait`` to the shared blocker,
+        so the devirtualized hook is one frame per issue attempt; the SSQ
+        keeps the base no-op and binds nothing."""
+        for config in (eight_wide(), _nlq()):
+            hook = Processor(config, spill_fill_trace)._load_must_wait
+            assert hook is not None
+            assert hook.__func__ is LoadStoreUnit._sq_data_blocker
+        assert Processor(_ssq(), spill_fill_trace)._load_must_wait is None
 
 
 class TestNLQ:

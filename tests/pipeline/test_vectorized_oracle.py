@@ -16,6 +16,8 @@ table mid-run).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.ssbf import BankedSSBF, DualBloomSSBF, InfiniteSSBF, SimpleSSBF
@@ -114,26 +116,70 @@ def test_probe_columns_match_scalar_indices():
             assert got_second == (indices[1] if len(indices) > 1 else -1)
 
 
+@pytest.mark.parametrize(
+    "geometries",
+    [((512, 8), (128, 8)), ((512, 8), (512, 4)), ((2048, 8), (128, 4))],
+)
+def test_memoized_probe_columns_are_per_geometry(geometries):
+    """Two configurations on one trace that differ only in SSBF entries or
+    granularity each get their own correct columns from the per-trace
+    memo, whichever geometry is built first."""
+    trace = generate_trace(spec_profile("vortex"), 2000)
+    hot = trace.hot()
+    base = ALL_CONFIGS["nlq"]
+    processors = []
+    for entries, granularity in geometries:
+        config = dataclasses.replace(
+            base,
+            name=f"nlq-{entries}x{granularity}",
+            svw=SVWConfig(ssbf_entries=entries, ssbf_granularity=granularity),
+        )
+        processors.append(Processor(config, trace))
+    assert processors[0]._ssbf_i1 is not processors[1]._ssbf_i1
+    for processor, (entries, granularity) in zip(processors, geometries):
+        ssbf = SimpleSSBF(entries=entries, granularity=granularity)
+        for seq, (addr, size) in enumerate(zip(hot.addr, hot.size)):
+            indices = ssbf._indices(addr, size)
+            assert processor._ssbf_i1[seq] == indices[0]
+            assert processor._ssbf_i2[seq] == (indices[1] if len(indices) > 1 else -1)
+    # A third processor with the first geometry reuses the memoized columns.
+    again = Processor(processors[0].config, trace)
+    assert again._ssbf_i1 is processors[0]._ssbf_i1
+
+
 def test_engine_probe_columns_gating():
     """The engine only offers columns for enabled flat-table organizations."""
-    addrs, sizes = [8, 16], [8, 4]
-    assert SVWEngine(SVWConfig()).probe_columns(addrs, sizes) is not None
-    assert SVWEngine(SVWConfig(enabled=False)).probe_columns(addrs, sizes) is None
+    trace = generate_trace(spec_profile("gcc"), 200)
+    hot = trace.hot()
+    assert SVWEngine(SVWConfig()).probe_columns(hot, {}) is not None
+    assert SVWEngine(SVWConfig(enabled=False)).probe_columns(hot, {}) is None
     for kind in ("dual", "infinite", "banked"):
         engine = SVWEngine(SVWConfig(ssbf_kind=kind))
-        assert engine.probe_columns(addrs, sizes) is None
+        assert engine.probe_columns(hot, {}) is None
         assert isinstance(
             engine.ssbf, (DualBloomSSBF, InfiniteSSBF, BankedSSBF)
         )
 
 
-def test_bank_bits_match_hierarchy_load_bank():
+@pytest.mark.parametrize("banks", [(2, 1), (1, 4), (4, 2)])
+def test_bank_bits_match_hierarchy_load_bank(banks):
     """The precomputed L1D bank-bit column equals the hierarchy's bank
-    mapping, seq by seq."""
+    mapping, seq by seq -- for two configurations on one trace that differ
+    only in L1D banks, each reading its own memoized column."""
     trace = generate_trace(spec_profile("twolf"), 2000)
-    processor = Processor(ALL_CONFIGS["conventional"], trace)
+    base = ALL_CONFIGS["conventional"]
+    processors = []
+    for count in banks:
+        l1d = dataclasses.replace(base.hierarchy.l1d, banks=count)
+        hierarchy = dataclasses.replace(base.hierarchy, l1d=l1d)
+        config = dataclasses.replace(
+            base, name=f"conventional-{count}banks", hierarchy=hierarchy
+        )
+        processors.append(Processor(config, trace))
     addrs = trace.hot().addr
-    assert len(processor._bank_bits) == len(addrs)
-    load_bank = processor.hierarchy.load_bank
-    for seq, addr in enumerate(addrs):
-        assert processor._bank_bits[seq] == 1 << load_bank(addr)
+    for processor in processors:
+        assert len(processor._bank_bits) == len(addrs)
+        load_bank = processor.hierarchy.load_bank
+        for seq, addr in enumerate(addrs):
+            assert processor._bank_bits[seq] == 1 << load_bank(addr)
+    assert processors[0]._bank_bits is not processors[1]._bank_bits
