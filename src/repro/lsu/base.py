@@ -10,6 +10,15 @@ The processor owns its LSU, so the LSU's back-reference is a weak proxy:
 the pair forms no reference cycle, and a finished processor (caches,
 tables, in-flight state and all) is freed by reference counting the
 moment its last reference drops, without waiting for a cyclic-GC sweep.
+
+Every attribute read through that proxy pays for the indirection, and the
+hooks run once per issued load, so the LSU binds the processor's
+containers it reads at construction: the processor never rebinds them
+(``tests/pipeline/test_lsu_bindings.py`` pins this).  Two things stay
+behind the proxy: ``proc.stats``, which the start of measurement rebinds,
+and anything not on a per-load path.  A bound method of the processor is
+never bound here -- it would hold the processor strongly and recreate the
+cycle.
 """
 
 from __future__ import annotations
@@ -37,10 +46,17 @@ def store_word_value(store: InFlight, word: int) -> int:
 class LoadStoreUnit(abc.ABC):
     """One load-store unit organization."""
 
-    __slots__ = ("proc",)
+    __slots__ = ("proc", "_words", "_store_words", "_read")
 
     def __init__(self, proc: "Processor") -> None:
         self.proc = weakref.proxy(proc)
+        #: Per-seq touched-word tuples (``TraceMeta.words``).
+        self._words = proc.meta.words
+        #: The processor's in-flight stores indexed by word.
+        self._store_words = proc.store_words
+        #: Committed-memory read (a method of the memory image, not of
+        #: the processor).
+        self._read = proc.committed_memory.read
 
     # -- dispatch hooks ---------------------------------------------------------
 
@@ -91,10 +107,10 @@ class LoadStoreUnit(abc.ABC):
 
     def _sq_data_blocker(self, load: InFlight) -> InFlight | None:
         """:meth:`load_must_wait` for CAM-SQ LSUs (variants alias it)."""
-        proc = self.proc
+        store_words = self._store_words
         load_seq = load.seq
-        for word in proc.meta.words[load_seq]:
-            stores = proc.store_words.get(word)
+        for word in self._words[load_seq]:
+            stores = store_words.get(word)
             if not stores:
                 continue
             for store in reversed(stores):
@@ -132,11 +148,10 @@ class LoadStoreUnit(abc.ABC):
         rule (``store.done``), inlined without a predicate call per store
         because this runs once per issued load.
         """
-        proc = self.proc
         load_seq = load.seq
-        store_words = proc.store_words
-        committed_read = proc.committed_memory.read
-        words = proc.meta.words[load_seq]
+        store_words = self._store_words
+        committed_read = self._read
+        words = self._words[load_seq]
         if len(words) == 1 and visible is None:
             # Single-word fast path (the overwhelmingly common shape).
             word = words[0]
@@ -156,7 +171,7 @@ class LoadStoreUnit(abc.ABC):
                 load.word_sources = (supplier.seq,)
                 load.forwarded_ssn = supplier.ssn
                 if supplier.ssn > 0:
-                    proc.stats.forwarded_loads += 1
+                    self.proc.stats.forwarded_loads += 1
             return
         sources = []
         forwarded_ssns = []
@@ -190,4 +205,4 @@ class LoadStoreUnit(abc.ABC):
         # means no shrink at all (ssn 0).
         load.forwarded_ssn = min(forwarded_ssns)
         if load.forwarded_ssn > 0:
-            proc.stats.forwarded_loads += 1
+            self.proc.stats.forwarded_loads += 1

@@ -14,14 +14,38 @@ and fed to store-sets.
 
 from __future__ import annotations
 
+from heapq import heappop
+
 from repro.lsu.base import LoadStoreUnit
 from repro.pipeline.inflight import InFlight
+
+
+def older_unresolved_store_exists(unresolved: list[tuple[int, InFlight]], seq: int) -> bool:
+    """Is any store older than ``seq`` still of unknown address?
+
+    This is the NLQ-LS natural-filter condition the scheduler evaluates.
+    A store's address is known to the scheduler once the store issues
+    (AGEN happens in the issue cycle).  ``unresolved`` is the processor's
+    min-heap of dispatched ``(seq, store)`` pairs; issued and squashed
+    stores are dropped from its top lazily, here.
+    """
+    while unresolved:
+        _, store = unresolved[0]
+        if store.squashed or store.issued:
+            heappop(unresolved)
+            continue
+        return unresolved[0][0] < seq
+    return False
 
 
 class NonAssociativeLQ(LoadStoreUnit):
     """Associative SQ for forwarding; re-execution for ordering."""
 
-    __slots__ = ()
+    __slots__ = ("_unresolved",)
+
+    def __init__(self, proc) -> None:
+        super().__init__(proc)
+        self._unresolved = proc._unresolved
 
     # An alias, not a wrapper: the processor binds this hook once and
     # calls it on every load-issue attempt.
@@ -30,7 +54,7 @@ class NonAssociativeLQ(LoadStoreUnit):
     def execute_load(self, load: InFlight) -> None:
         self._assemble(load)  # default visibility: store.done
         # Natural filter: mark loads issuing past unresolved older stores.
-        if self.proc.older_unresolved_store_exists(load.seq):
+        if older_unresolved_store_exists(self._unresolved, load.seq):
             load.marked = True
 
     def on_rex_failure(self, load: InFlight, store_pc: int | None) -> None:

@@ -33,10 +33,15 @@ from repro.pipeline.inflight import InFlight
 class SpeculativeSQ(LoadStoreUnit):
     """RSQ + FSQ + per-bank best-effort forwarding buffers."""
 
-    __slots__ = ("fsq_size", "fsq_occupancy", "load_bits", "store_bits", "_buffers")
+    __slots__ = (
+        "fsq_size", "fsq_occupancy", "load_bits", "store_bits", "_buffers", "_load_bank"
+    )
 
     def __init__(self, proc) -> None:
         super().__init__(proc)
+        #: L1D bank of an address (a method of the hierarchy, not of the
+        #: processor).
+        self._load_bank = proc.hierarchy.load_bank
         config = proc.config
         self.fsq_size = config.fsq_size
         self.fsq_occupancy = 0
@@ -73,9 +78,8 @@ class SpeculativeSQ(LoadStoreUnit):
             self._assemble(load, lambda st: st.fsq and st.done)
             return
         # Best-effort path: the bank's forwarding buffer, else the cache.
-        proc = self.proc
-        words = proc.meta.words[load.seq]
-        bank = proc.hierarchy.load_bank(load.addr)
+        words = self._words[load.seq]
+        bank = self._load_bank(load.addr)
         match: InFlight | None = None
         for store in reversed(self._buffers[bank]):
             if (
@@ -92,13 +96,14 @@ class SpeculativeSQ(LoadStoreUnit):
             # Best-effort forwarding "does not maintain the invariants
             # required" for the SVW forward update (section 4.2).
             load.forwarded_ssn = 0
-            proc.stats.forwarded_loads += 1
+            self.proc.stats.forwarded_loads += 1
             return
         # In-flight stores are invisible outside the FSQ/buffer: read the
         # committed image (the cache).  Stale values are caught by rex.
+        committed_read = self._read
         value = 0
         for shift, word in enumerate(words):
-            value |= proc.committed_memory.read(word, 4) << (32 * shift)
+            value |= committed_read(word, 4) << (32 * shift)
         if load.size == 4:
             value &= 0xFFFF_FFFF
         load.exec_value = value
@@ -108,8 +113,7 @@ class SpeculativeSQ(LoadStoreUnit):
     def on_store_forwardable(self, store: InFlight) -> None:
         # Insert into the bank's best-effort buffer (FIFO, unordered) once
         # both the address and the value exist.
-        bank = self.proc.hierarchy.load_bank(store.addr)
-        self._buffers[bank].append(store)
+        self._buffers[self._load_bank(store.addr)].append(store)
 
     # -- retirement / recovery --------------------------------------------------------
 
@@ -124,9 +128,8 @@ class SpeculativeSQ(LoadStoreUnit):
         if store.fsq:
             store.fsq = False
             self.fsq_occupancy -= 1
-        bank = self.proc.hierarchy.load_bank(store.addr)
         try:
-            self._buffers[bank].remove(store)
+            self._buffers[self._load_bank(store.addr)].remove(store)
         except ValueError:
             pass
 

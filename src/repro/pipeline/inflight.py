@@ -8,11 +8,18 @@ memory ops and branches, ``addr``/``size``/``store_value``/``taken`` --
 copied out of the trace's flat columns at dispatch; it no longer wraps a
 :class:`~repro.isa.inst.DynInst` object.  All timing and speculation state
 lives here, never in the immutable trace.
+
+An entry is *kind-sized*: the constructor sets the fields every stage loop
+reads for every kind, then only the load-, store- or branch-specific ones
+for the entry's own kind.  A field that belongs to another kind is left
+unset, so reading it is a bug that raises :class:`AttributeError`.
 """
 
 from __future__ import annotations
 
 import enum
+
+from repro.isa.inst import KIND_BRANCH, KIND_LOAD, KIND_STORE
 
 
 class RexState(enum.IntEnum):
@@ -25,6 +32,11 @@ class RexState(enum.IntEnum):
     FILTERED = 4  # marked, excused by the SVW filter test
     FAILED = 5  # re-executed and mismatched: flush when this commits
     SVW_FLUSH = 6  # svw-only mode: positive test, flush-and-refetch
+
+
+# Loading an enum member costs several times a module global, and the
+# constructor below runs once per dispatched instruction.
+_NOT_NEEDED = RexState.NOT_NEEDED
 
 
 class InFlight:
@@ -70,54 +82,64 @@ class InFlight:
         #: ``KIND_*`` code (see :mod:`repro.isa.inst`).
         self.kind = kind
         self.dst_reg = dst_reg
-        #: Effective address / access size (memory ops; the dispatch loop
-        #: fills these from the trace columns), else 0.
-        self.addr = 0
-        self.size = 0
-        #: Value written (stores), else 0.
-        self.store_value = 0
-        #: Branch outcome (branches), else False.
-        self.taken = False
+        # Fields the stage loops read for every kind.
         self.squashed = False
         self.pending_srcs = 0
-        #: Stores: 1 while the store-data producer is outstanding.  Store
-        #: address generation (STA) and data (STD) are split as in real
-        #: machines: AGEN issues on address operands alone.
-        self.data_pending = 0
         #: Waiters as (role, entry): role 0 = register operand, 1 = store data.
         self.waiters: list[tuple[int, InFlight]] | None = None
         self.issued = False
         self.complete_cycle = -1
         self.done = False
-        self.rex_state = RexState.NOT_NEEDED
-        self.rex_done_cycle = -1
-        self.marked = False
-        #: SSN of the youngest older store this load is NOT vulnerable to.
-        self.svw = 0
-        #: Value obtained at execution (loads) -- possibly mis-speculated.
-        self.exec_value = 0
-        #: Architecturally-correct value found at re-execution.
-        self.rex_value = 0
-        #: For issued loads: per-word seq of the supplying store (-1 = memory).
-        self.word_sources: tuple[int, ...] | None = None
-        #: SSN of the youngest store that forwarded any word (0 = none).
-        self.forwarded_ssn = 0
-        #: Store sequence number (stores only).
-        self.ssn = 0
-        #: Store address generation done (stores only).
-        self.resolved = False
-        #: SSQ steering: this load/store uses the FSQ.
-        self.fsq = False
         #: RLE: load removed from the execution engine.
         self.eliminated = False
-        #: RLE: elimination came from a store (bypassing) vs a load (reuse).
-        self.elim_bypass = False
-        #: RLE: the matched IT entry's creator was squashed.
-        self.squash_reuse = False
-        #: RLE: signature of the IT entry this load integrated with.
-        self.it_signature: tuple[int, int, int] | None = None
         #: Branches: direction or target misprediction.
         self.mispredicted = False
+        # Kind-specific fields exist only on the kinds that use them (one
+        # construction per dispatch, so every slot store counts).
+        if kind == KIND_LOAD:
+            #: Effective address / access size (memory ops; the dispatch
+            #: loop fills these from the trace columns).
+            self.addr = 0
+            self.size = 0
+            self.rex_state = _NOT_NEEDED
+            self.rex_done_cycle = -1
+            self.marked = False
+            #: SSN of the youngest older store this load is NOT vulnerable to.
+            self.svw = 0
+            #: Value obtained at execution -- possibly mis-speculated.
+            self.exec_value = 0
+            #: Architecturally-correct value found at re-execution.
+            self.rex_value = 0
+            #: Once issued: per-word seq of the supplying store (-1 = memory).
+            self.word_sources: tuple[int, ...] | None = None
+            #: SSN of the youngest store that forwarded any word (0 = none).
+            self.forwarded_ssn = 0
+            #: SSQ steering: this load/store uses the FSQ.
+            self.fsq = False
+            #: RLE: elimination came from a store (bypassing) vs a load (reuse).
+            self.elim_bypass = False
+            #: RLE: the matched IT entry's creator was squashed.
+            self.squash_reuse = False
+            #: RLE: signature of the IT entry this load integrated with.
+            self.it_signature: tuple[int, int, int] | None = None
+        elif kind == KIND_STORE:
+            self.addr = 0
+            self.size = 0
+            #: Value written.
+            self.store_value = 0
+            self.rex_state = _NOT_NEEDED
+            #: 1 while the store-data producer is outstanding.  Store address
+            #: generation (STA) and data (STD) are split as in real machines:
+            #: AGEN issues on address operands alone.
+            self.data_pending = 0
+            #: Store sequence number.
+            self.ssn = 0
+            #: Store address generation done.
+            self.resolved = False
+            self.fsq = False
+        elif kind == KIND_BRANCH:
+            #: Branch outcome.
+            self.taken = False
 
     def __lt__(self, other: "InFlight") -> bool:
         """Age order; ties (a squashed and a refetched incarnation of the
@@ -131,7 +153,10 @@ class InFlight:
             self.waiters.append((role, waiter))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        # Only loads and stores carry a re-execution state.
+        rex_state = getattr(self, "rex_state", None)
+        rex = "-" if rex_state is None else rex_state.name
         return (
             f"InFlight(seq={self.seq}, kind={self.kind}, issued={self.issued}, "
-            f"done={self.done}, rex={self.rex_state.name})"
+            f"done={self.done}, rex={rex})"
         )

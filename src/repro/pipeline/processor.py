@@ -43,6 +43,20 @@ golden-equivalence suite enforce this):
 - the stage methods pull shared state into locals and avoid rebuilding
   per-cycle containers (issue slots are a flat list copy, bank arbitration
   is a bitmask);
+- no per-instruction operation hides a large constant cost: enum members
+  the loops test are module constants (a class-attribute load of a member
+  costs several times a global; ``tests/pipeline/test_hot_loop_globals.py``
+  keeps them out), the in-flight table is a list indexed by seq rather
+  than a dict, the LSU hooks hold the processor containers they read
+  instead of reaching them through the LSU's weak proxy, and an
+  :class:`~repro.pipeline.inflight.InFlight` sets only the fields its
+  kind uses;
+- the ready set is a list kept sorted by ``(seq, tiebreak)``: dispatch
+  appends, wake-up inserts by bisection, and the issue select scans the
+  front and writes the deferred entries back in one slice assignment, so
+  an entry the select turns away costs one list append
+  (``tests/pipeline/test_issue_select.py`` checks it against a heap
+  select);
 - an idle-cycle *skip-ahead* scheduler detects cycles in which no
   architectural state changed and jumps the clock to the next cycle at
   which anything can happen (a scheduled completion, the commit-depth
@@ -70,6 +84,7 @@ freeing one must cost little beyond the trace it replays:
 from __future__ import annotations
 
 import gc
+from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 
@@ -96,8 +111,10 @@ from repro.pipeline.inflight import InFlight, RexState
 from repro.pipeline.stats import SimStats
 from repro.rle.integration import IntegrationTable
 
-# RexState members hoisted to module level: the re-execution pipe tests
-# these identities once per queue entry per cycle.
+# Enum members hoisted to module level: loading one through its class costs
+# several times a module-global load, and the stage loops test these
+# identities once per instruction or queue entry
+# (``tests/pipeline/test_hot_loop_globals.py`` keeps enum loads out).
 _NOT_NEEDED = RexState.NOT_NEEDED
 _PENDING = RexState.PENDING
 _IN_FLIGHT = RexState.IN_FLIGHT
@@ -108,6 +125,13 @@ _SVW_FLUSH = RexState.SVW_FLUSH
 
 #: Terminal states that let an entry retire from the re-execution queue.
 _REX_RETIRED = (_DONE_OK, _FILTERED, _FAILED, _SVW_FLUSH)
+
+_REEXECUTE = RexMode.REEXECUTE
+_SVW_ONLY = RexMode.SVW_ONLY
+_PERFECT = RexMode.PERFECT
+#: Modes in which a marked, unfiltered load counts as re-executed.
+_REX_COUNTED = (_REEXECUTE, _PERFECT)
+
 
 class SimulationError(RuntimeError):
     """The simulation reached an inconsistent or deadlocked state."""
@@ -267,6 +291,13 @@ class Processor:
         )
         if self.svw is not None and self.it is not None:
             self.svw.on_drain.append(self.it.flash_clear)
+        # Containers the LSU binds at construction (it reads them once per
+        # issued load); none of them is ever rebound.
+        #: In-flight stores indexed by 4-byte word (dispatch order).
+        self.store_words: dict[int, list[InFlight]] = {}
+        #: Min-heap of dispatched ``(seq, store)`` pairs, popped lazily
+        #: once issued or squashed (the NLQ's natural filter reads it).
+        self._unresolved: list[tuple[int, InFlight]] = []
         self.lsu: LoadStoreUnit = {
             LSUKind.CONVENTIONAL: ConventionalLSU,
             LSUKind.NLQ: NonAssociativeLQ,
@@ -280,11 +311,17 @@ class Processor:
         self.fetch_blocker: InFlight | None = None
         self.drain_wait = False
         self.rob: deque[InFlight] = deque()
-        self.inflight_by_seq: dict[int, InFlight] = {}
+        #: In-flight entries indexed by seq.  The extra last slot stays
+        #: ``None`` forever, so the ``-1`` "no producer" sentinel of the
+        #: ``base_seq``/``store_data_seq`` columns reads as no entry.
+        self.inflight_by_seq: list[InFlight | None] = [None] * (len(trace) + 1)
         self.iq_occ = 0
         self.lq_occ = 0
         self.sq_occ = 0
         self.reg_occ = 0
+        #: Ready entries as ``(seq, tiebreak, entry)``, kept sorted (see
+        #: ``_do_issue``).  ``tiebreak`` grows with every insertion, so a
+        #: squashed stale entry sorts ahead of its refetched copy.
         self._ready: list[tuple[int, int, InFlight]] = []
         self._tiebreak = 0
         self._completes: dict[int, list[InFlight]] = {}
@@ -294,9 +331,6 @@ class Processor:
         #: pipelined execution port) -- this is what turns load re-execution
         #: into the paper's store-commit critical loop.
         self._rex_port_busy_until = 0
-        #: In-flight stores indexed by 4-byte word (dispatch order).
-        self.store_words: dict[int, list[InFlight]] = {}
-        self._unresolved: list[tuple[int, InFlight]] = []
         self._uncommitted_loads: deque[int] = deque()
         #: Seqs already flushed once by `_svw_only_flush`; a repeat positive
         #: filter test on a refetched load is a false positive (see the
@@ -407,7 +441,7 @@ class Processor:
                 1, (addr // l1d.line_bytes) & (l1d.banks - 1)
             ).tolist()
         self._bank_bits: list[int] = bank_bits  # type: ignore[assignment]
-        #: Exact count of squashed-but-still-heaped ready entries.  While
+        #: Exact count of squashed-but-still-listed ready entries.  While
         #: it is zero and the cycle's issue bandwidth is spent, the select
         #: loop can stop popping: every further pop in the naive loop
         #: either drops a stale entry (none exist) or defers a live one
@@ -415,26 +449,6 @@ class Processor:
         self._ready_stale = 0
 
     # ------------------------------------------------------------------ helpers
-
-    def older_unresolved_store_exists(self, seq: int) -> bool:
-        """Is any older in-flight store's address still unknown?
-
-        This is the NLQ-LS natural-filter condition the scheduler evaluates.
-        A store's address is known to the scheduler once the store issues
-        (AGEN happens in the issue cycle).
-        """
-        heap = self._unresolved
-        while heap:
-            _, store = heap[0]
-            if store.squashed or store.issued:
-                heappop(heap)
-                continue
-            return heap[0][0] < seq
-        return False
-
-    def _push_ready(self, entry: InFlight) -> None:
-        self._tiebreak += 1
-        heappush(self._ready, (entry.seq, self._tiebreak, entry))
 
     def _schedule_completion(self, entry: InFlight, when: int) -> None:
         entry.complete_cycle = when
@@ -463,7 +477,9 @@ class Processor:
                     # Integrated loads "complete" as soon as their value does.
                     self._schedule_completion(waiter, self.cycle + 1)
                 else:
-                    self._push_ready(waiter)
+                    tiebreak = self._tiebreak + 1
+                    self._tiebreak = tiebreak
+                    insort(self._ready, (waiter.seq, tiebreak, waiter))
 
     def _store_maybe_done(self, store: InFlight) -> None:
         """A store is fully done once its address and its data both exist."""
@@ -533,7 +549,7 @@ class Processor:
         inval = self.config.invalidation_interval
         skip = self._skip_ahead
         rex_mode = self.config.rex_mode
-        rex_active = rex_mode is RexMode.REEXECUTE or rex_mode is RexMode.SVW_ONLY
+        rex_active = rex_mode is _REEXECUTE or rex_mode is _SVW_ONLY
         # Containers are bound once in __init__ and never rebound, so the
         # per-cycle stage gates below can hold direct references.  Stage
         # methods are bound once too: the gates run every simulated cycle.
@@ -654,7 +670,7 @@ class Processor:
         if cycle < busy < nxt:
             nxt = busy
             cause = "rex_port"
-        if self.config.rex_mode is RexMode.REEXECUTE:
+        if self.config.rex_mode is _REEXECUTE:
             # IN_FLIGHT entries only exist ahead of the first incomplete
             # entry (the re-execution pipe is in-order), so the scan is
             # short and bounded.
@@ -746,7 +762,7 @@ class Processor:
                 if uses_rex:
                     state = head.rex_state
                     if state is _PENDING or state is _IN_FLIGHT:
-                        if rex_mode is RexMode.PERFECT:
+                        if rex_mode is _PERFECT:
                             self._perfect_verify(head)
                             state = head.rex_state
                         else:
@@ -762,7 +778,7 @@ class Processor:
                 if uses_rex and head.rex_state is not _DONE_OK:
                     # Store may not commit until it (and all older loads)
                     # cleared the re-execution pipe -- the critical loop.
-                    if rex_mode is RexMode.PERFECT:
+                    if rex_mode is _PERFECT:
                         head.rex_state = _DONE_OK
                     else:
                         stats.serialization_stalls += 1
@@ -780,7 +796,7 @@ class Processor:
             # Retire the head (inline: this runs once per committed
             # instruction).
             rob.popleft()
-            del inflight_by_seq[head.seq]
+            inflight_by_seq[head.seq] = None
             committed_total = self._committed_total + 1
             self._committed_total = committed_total
             if head.dst_reg >= 0:
@@ -827,7 +843,7 @@ class Processor:
             state = head.rex_state
             if state is _FILTERED:
                 stats.filtered_loads += 1
-            elif self.config.rex_mode in (RexMode.REEXECUTE, RexMode.PERFECT):
+            elif self.config.rex_mode in _REX_COUNTED:
                 stats.reexecuted_loads += 1
             if state is _FAILED:
                 stats.rex_failures += 1
@@ -889,7 +905,7 @@ class Processor:
 
     def _do_rex(self, port_budget: int) -> None:
         rex_mode = self.config.rex_mode
-        if rex_mode is not RexMode.REEXECUTE and rex_mode is not RexMode.SVW_ONLY:
+        if rex_mode is not _REEXECUTE and rex_mode is not _SVW_ONLY:
             return
         queue = self.rex_queue
         if not queue or not queue[0].done:
@@ -968,7 +984,7 @@ class Processor:
                         must = svw.must_reexecute(entry.addr, entry.size, entry.svw)
                     else:
                         must = True
-                    if rex_mode is RexMode.SVW_ONLY:
+                    if rex_mode is _SVW_ONLY:
                         # Config validation guarantees svw is present here.
                         if must and self._svw_retried:
                             # A load refetched by `_svw_only_flush` restarted
@@ -1021,6 +1037,16 @@ class Processor:
     # ------------------------------------------------------------------ issue
 
     def _do_issue(self) -> None:
+        """Age-ordered select over the ready list.
+
+        ``_ready`` is sorted by ``(seq, tiebreak)``, and nothing enters it
+        while this method runs: wake-ups insert in the complete stage and
+        dispatch appends after issue, and issuing a load wakes no one.  So
+        the select is a front-to-back scan of at most ``_max_pops``
+        entries -- exactly the order a min-heap would pop them in -- and
+        the entries it defers go back with one slice assignment, still
+        sorted and still ahead of every entry the scan did not reach.
+        """
         ready = self._ready
         if not ready:
             return
@@ -1045,15 +1071,17 @@ class Processor:
         issued = 0
         remaining = self._total_issue
         deferred: list[tuple[int, int, InFlight]] = []
-        max_pops = self._max_pops
+        limit = len(ready)
+        if limit > self._max_pops:
+            limit = self._max_pops
         pops = 0
-        while ready and pops < max_pops:
+        while pops < limit:
             if remaining <= 0 and self._ready_stale <= 0:
                 # All issue bandwidth consumed and no stale entries left
-                # to drop: every further pop would just defer-and-repush.
+                # to drop: every further entry would just be deferred.
                 break
+            item = ready[pops]
             pops += 1
-            item = heappop(ready)
             entry = item[2]
             if entry.squashed or entry.issued or entry.pending_srcs > 0:
                 if entry.squashed:
@@ -1115,8 +1143,8 @@ class Processor:
         if issued:
             self.iq_occ -= issued
             self._worked = True
-        for item in deferred:
-            heappush(ready, item)
+        # The scanned prefix keeps only its deferred entries (in order).
+        ready[:pops] = deferred
 
     # ------------------------------------------------------------------ dispatch
 
@@ -1173,6 +1201,7 @@ class Processor:
         m_srcs = self._m_srcs
         rob = self.rob
         inflight_by_seq = self.inflight_by_seq
+        ready = self._ready
         store_dispatch_ready = self._store_dispatch_ready
         ssn = self.ssn
         svw_present = self.svw is not None
@@ -1240,17 +1269,17 @@ class Processor:
             # Register dataflow.  Stores split address (issue-gating) from
             # data (commit/forwarding-gating) operands.
             if kind == KIND_STORE:
-                addr_producer = inflight_by_seq.get(m_base[fetch_seq])
+                addr_producer = inflight_by_seq[m_base[fetch_seq]]
                 if addr_producer is not None and not addr_producer.done:
                     entry.pending_srcs += 1
                     addr_producer.add_waiter(entry)
-                data_producer = inflight_by_seq.get(m_sdata[fetch_seq])
+                data_producer = inflight_by_seq[m_sdata[fetch_seq]]
                 if data_producer is not None and not data_producer.done:
                     entry.data_pending = 1
                     data_producer.add_waiter(entry, role=1)
             else:
                 for src in m_srcs[fetch_seq]:
-                    producer = inflight_by_seq.get(src)
+                    producer = inflight_by_seq[src]
                     if producer is not None and not producer.done:
                         entry.pending_srcs += 1
                         producer.add_waiter(entry)
@@ -1264,13 +1293,17 @@ class Processor:
                     self._dispatch_branch(entry)
                 self.iq_occ += 1
             rob.append(entry)
-            inflight_by_seq[entry.seq] = entry
+            inflight_by_seq[fetch_seq] = entry
             if dst_reg >= 0:
                 self.reg_occ += 1
             if not entry.eliminated and not entry.issued and entry.pending_srcs == 0:
                 tiebreak = self._tiebreak + 1
                 self._tiebreak = tiebreak
-                heappush(self._ready, (entry.seq, tiebreak, entry))
+                if ready and ready[-1][0] > fetch_seq:
+                    # A squash left younger stale entries in the list.
+                    insort(ready, (fetch_seq, tiebreak, entry))
+                else:
+                    ready.append((fetch_seq, tiebreak, entry))
             dispatched += 1
             fetch_seq += 1
             self.fetch_seq = fetch_seq
@@ -1312,7 +1345,7 @@ class Processor:
         if self.store_sets is not None:
             store_seq = self.store_sets.load_dependence(entry.pc)
             if store_seq is not None:
-                blocker = self.inflight_by_seq.get(store_seq)
+                blocker = self.inflight_by_seq[store_seq]
                 if blocker is not None and blocker.kind == KIND_STORE and not blocker.done:
                     entry.pending_srcs += 1
                     blocker.add_waiter(entry)
@@ -1367,7 +1400,7 @@ class Processor:
         if self.store_sets is not None:
             previous = self.store_sets.store_dispatched(entry.pc, entry.seq)
             if previous is not None:
-                blocker = self.inflight_by_seq.get(previous)
+                blocker = self.inflight_by_seq[previous]
                 if blocker is not None and blocker.kind == KIND_STORE and not blocker.done:
                     entry.pending_srcs += 1
                     blocker.add_waiter(entry)
@@ -1417,18 +1450,19 @@ class Processor:
         self._worked = True
         self.stats.flushes += 1
         rob = self.rob
+        inflight_by_seq = self.inflight_by_seq
         m_words = self.meta.words
         store_words = self.store_words
         on_squash = self._on_squash
         while rob and rob[-1].seq >= flush_seq:
             entry = rob.pop()
             entry.squashed = True
-            del self.inflight_by_seq[entry.seq]
+            inflight_by_seq[entry.seq] = None
             kind = entry.kind
             if not entry.issued and not entry.eliminated:
                 self.iq_occ -= 1
                 if entry.pending_srcs == 0:
-                    # The entry sits in the ready heap; remember the stale
+                    # The entry sits in the ready list; remember the stale
                     # member so the issue loop knows it still has one to
                     # drop (see _ready_stale).
                     self._ready_stale += 1
